@@ -35,10 +35,14 @@ def _load_document(path):
             raw = fh.read()
     except OSError as exc:
         raise InvalidInputError(f"{path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise InvalidInputError(f"{path}: not UTF-8 text: {exc}") from None
     try:
         doc = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise InvalidInputError(f"{path}: malformed JSON: {exc}") from None
+    except RecursionError:
+        raise InvalidInputError(f"{path}: malformed JSON: nested too deeply") from None
     if not isinstance(doc, dict):
         raise InvalidInputError(f"{path}: expected a JSON object")
     n = doc.get("n")

@@ -1,12 +1,15 @@
 """Exact geometric predicates and volumes.
 
-Points are plain tuples of Fractions. The module provides the two
-predicates everything else consumes (simplex volume and membership in a
-Newton polyhedron, the latter decided by exact LP feasibility) plus an
-exact volume of a convex hull of points, computed by pyramid
-decomposition from a base vertex with brute-force supporting-hyperplane
-enumeration. Brute force is entirely adequate at the dimensions (<= 6)
-and generator counts this package supports.
+Points are plain tuples of Fractions. The module provides the exact
+determinant (Bareiss fraction-free elimination), simplex volumes, and
+membership in a Newton polyhedron, decided by exact LP feasibility.
+
+``polytope_volume`` is the exact volume of the convex hull of a point
+set, computed by pyramid decomposition from a base vertex with
+brute-force supporting-hyperplane enumeration. No kernel path calls it:
+the Newton polyhedron kernel triangulates its own facets. It stays as
+an independent reference for the facet-cone volumes, and brute force
+is adequate at the small point sets it is used on.
 """
 
 from __future__ import annotations
@@ -48,25 +51,35 @@ def vsub(u, v):
 
 
 def det(rows) -> Fraction:
-    """Exact determinant by Gaussian elimination with partial pivoting."""
-    a = [list(r) for r in rows]
+    """Exact determinant by Bareiss fraction-free elimination (Bareiss,
+    Math. Comp. 22, 1968).
+
+    Each rational row is first scaled to integers, so every elimination
+    step is an exact integer division.
+    """
+    a = []
+    scale = 1
+    for r in rows:
+        m = math.lcm(*(c.denominator for c in r))
+        scale *= m
+        a.append([int(c * m) for c in r])
     n = len(a)
-    sign = 1
-    result = Fraction(1)
-    for col in range(n):
-        pivot_row = next((r for r in range(col, n) if a[r][col]), None)
-        if pivot_row is None:
-            return Fraction(0)
-        if pivot_row != col:
-            a[col], a[pivot_row] = a[pivot_row], a[col]
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if not a[k][k]:
+            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if swap is None:
+                return Fraction(0)
+            a[k], a[swap] = a[swap], a[k]
             sign = -sign
-        piv = a[col][col]
-        result *= piv
-        for r in range(col + 1, n):
-            f = a[r][col] / piv
-            if f:
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return sign * result
+        top = a[k]
+        piv = top[k]
+        for i in range(k + 1, n):
+            row = a[i]
+            f = row[k]
+            a[i] = [(piv * x - f * y) // prev for x, y in zip(row, top)]
+        prev = piv
+    return Fraction(sign * a[-1][-1], scale) if n else Fraction(1)
 
 
 def simplex_volume(points) -> Fraction:

@@ -1,30 +1,17 @@
-"""Exact linear programming over the rationals.
+"""Exact LP feasibility over the rationals.
 
-A small dense two-phase primal simplex with Bland's rule. Every pivot is
-carried out in Fraction arithmetic, so feasibility and optimality are
-decided exactly; Bland's rule guarantees termination under degeneracy.
-The problems solved here are tiny (tens of variables), which makes the
-dense tableau the right tool.
-
-Problems are given in standard form: minimize ``cost . x`` subject to
-``rows . x == rhs`` and ``x >= 0``.
+A small dense phase-one primal simplex with Bland's rule decides whether
+``rows . x == rhs``, ``x >= 0`` has a solution. Every pivot is carried
+out in Fraction arithmetic, so the answer is exact; Bland's rule
+guarantees termination under degeneracy. The problems solved here are
+tiny (tens of variables), which makes the dense tableau the right tool.
+Its caller is ``geometry.cone_point_member`` and, through it,
+``NewtonPolyhedron.contains`` and the Monte Carlo oracle.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-
-OPTIMAL = "optimal"
-INFEASIBLE = "infeasible"
-UNBOUNDED = "unbounded"
-
-
-@dataclass(frozen=True)
-class LPResult:
-    status: str
-    objective: Fraction | None = None
-    solution: tuple[Fraction, ...] | None = None
 
 
 def _pivot(tab, basis, row, col):
@@ -41,17 +28,19 @@ def _pivot(tab, basis, row, col):
 
 
 def _run_simplex(tab, basis, ncols):
-    """Pivot until optimal or unbounded.
+    """Pivot until optimal.
 
     The last tableau row holds reduced costs with -objective in its final
-    cell; only the first ``ncols`` columns may enter the basis.
+    cell; only the first ``ncols`` columns may enter the basis. The
+    phase-one objective is bounded below by zero, so the ratio test
+    always finds a leaving row.
     """
     nrows = len(tab) - 1
     while True:
         obj = tab[-1]
         col = next((j for j in range(ncols) if obj[j] < 0), None)
         if col is None:
-            return OPTIMAL
+            return
         best_row = None
         best_ratio = None
         for i in range(nrows):
@@ -64,13 +53,15 @@ def _run_simplex(tab, basis, ncols):
                     or (ratio == best_ratio and basis[i] < basis[best_row])
                 ):
                     best_row, best_ratio = i, ratio
-        if best_row is None:
-            return UNBOUNDED
         _pivot(tab, basis, best_row, col)
 
 
-def _phase_one(rows, rhs):
-    """Find a basic feasible point; returns (tab, basis, n) or None."""
+def feasible(rows, rhs) -> bool:
+    """Exact feasibility of ``rows . x == rhs``, ``x >= 0``.
+
+    Phase one: minimize the sum of one artificial variable per row; the
+    system is feasible iff that minimum is zero.
+    """
     m = len(rows)
     n = len(rows[0]) if m else 0
     zero, one = Fraction(0), Fraction(1)
@@ -88,45 +79,4 @@ def _phase_one(rows, rhs):
     tab.append(obj)
     basis = [n + i for i in range(m)]
     _run_simplex(tab, basis, n)
-    if tab[-1][-1] != 0:
-        return None
-    return tab, basis, n
-
-
-def feasible(rows, rhs) -> bool:
-    """Exact feasibility of ``rows . x == rhs``, ``x >= 0``."""
-    return _phase_one(rows, rhs) is not None
-
-
-def minimize(cost, rows, rhs) -> LPResult:
-    """Minimize ``cost . x`` subject to ``rows . x == rhs``, ``x >= 0``."""
-    phase = _phase_one(rows, rhs)
-    if phase is None:
-        return LPResult(INFEASIBLE)
-    tab, basis, n = phase
-    # Drive leftover artificial variables out of the basis; rows where
-    # that is impossible are redundant and get dropped.
-    keep = []
-    for i in range(len(basis)):
-        if basis[i] < n:
-            keep.append(i)
-            continue
-        col = next((j for j in range(n) if tab[i][j] != 0), None)
-        if col is not None:
-            _pivot(tab, basis, i, col)
-            keep.append(i)
-    tab = [tab[i][:n] + [tab[i][-1]] for i in keep]
-    basis = [basis[i] for i in keep]
-
-    c = [Fraction(v) for v in cost]
-    m = len(tab)
-    obj = [c[j] - sum(c[basis[i]] * tab[i][j] for i in range(m)) for j in range(n)]
-    obj.append(-sum(c[basis[i]] * tab[i][-1] for i in range(m)))
-    tab.append(obj)
-    status = _run_simplex(tab, basis, n)
-    if status == UNBOUNDED:
-        return LPResult(UNBOUNDED)
-    x = [Fraction(0)] * n
-    for i in range(m):
-        x[basis[i]] = tab[i][-1]
-    return LPResult(OPTIMAL, objective=-tab[-1][-1], solution=tuple(x))
+    return tab[-1][-1] == 0

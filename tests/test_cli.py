@@ -136,6 +136,23 @@ class TestErrors:
         assert code == 2
         assert "malformed JSON" in err
 
+    def test_non_utf8_file(self, capsys, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b'\xff\xfe{"n": 2}')
+        code, _, err = run(capsys, "mass", str(bad))
+        assert code == 2
+        assert "not UTF-8" in err
+        assert err.count("\n") == 1
+
+    def test_deep_nesting(self, capsys, tmp_path):
+        depth = 100_000
+        deep = tmp_path / "deep.json"
+        deep.write_text('{"n": 2, "generators": ' + "[" * depth + "]" * depth + "}")
+        code, _, err = run(capsys, "mass", str(deep))
+        assert code == 2
+        assert "malformed JSON" in err
+        assert err.count("\n") == 1
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "mass", "/nonexistent/x.json")
         assert code == 2

@@ -1,4 +1,4 @@
-"""Exact geometry: determinants, volumes, cone membership, and the LP core."""
+"""Exact geometry: determinants, volumes, cone membership, and LP feasibility."""
 
 import random
 from fractions import Fraction
@@ -12,7 +12,7 @@ from lelong.geometry import (
     polytope_volume,
     simplex_volume,
 )
-from lelong.linprog import INFEASIBLE, OPTIMAL, UNBOUNDED, feasible, minimize
+from lelong.linprog import feasible
 
 from support import ASTAR
 
@@ -119,36 +119,5 @@ class TestConePointMember:
 
 
 class TestLinprog:
-    def test_simple_optimum(self):
-        # min x + y  s.t.  x + y + s = 5 with a lower bound via 2x - y = 0
-        res = minimize([1, 1, 0], [[1, 1, 1], [2, -1, 0]], [5, 0])
-        assert res.status == OPTIMAL
-        assert res.objective == 0
-
-    def test_equality_pins_solution(self):
-        res = minimize([1], [[1]], [5])
-        assert res.status == OPTIMAL
-        assert res.objective == 5
-        assert res.solution == (5,)
-
     def test_infeasible(self):
-        res = minimize([0, 0], [[1, 0], [1, 0]], [1, 2])
-        assert res.status == INFEASIBLE
         assert not feasible([[1, 0], [1, 0]], [1, 2])
-
-    def test_unbounded(self):
-        res = minimize([-1, 0], [[0, 1]], [1])
-        assert res.status == UNBOUNDED
-
-    def test_degenerate_terminates(self):
-        rows = [[1, 1, 0, 0], [1, 0, 1, 0], [1, 0, 0, 1]]
-        res = minimize([0, -1, -1, -1], rows, [0, 0, 0])
-        assert res.status == OPTIMAL
-        assert res.objective == 0
-
-    def test_exact_fractions(self):
-        res = minimize([1, 0], [[Fraction(1, 3), Fraction(1, 7)]], [1])
-        assert res.status == OPTIMAL
-        assert res.objective == 0
-        res2 = minimize([1], [[Fraction(2, 3)]], [Fraction(1, 2)])
-        assert res2.objective == Fraction(3, 4)

@@ -5,12 +5,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lelong.errors import InvalidInputError, NotPrimaryError
+from lelong.geometry import cone_point_member, polytope_volume
 from lelong.newton import NewtonPolyhedron
 from lelong.oracles import covolume_staircase_2d
+from lelong.weights import MonomialWeight
 
-from support import ASTAR, random_weight
+from support import ASTAR, random_weight, unit
 
 
 def F(*args):
@@ -189,3 +193,107 @@ class TestMinkowski:
     def test_dimension_mismatch(self):
         with pytest.raises(InvalidInputError):
             NewtonPolyhedron(ASTAR).minkowski_sum(NewtonPolyhedron([(1, 0, 0)]))
+
+
+def vertex_rich(n, m):
+    """Generators (s_1^2, ..., s_n^2) over the weak compositions s of m
+    into n parts; every one of them is a vertex."""
+
+    def compositions(m, n):
+        if n == 1:
+            return [(m,)]
+        return [(a, *rest) for a in range(m + 1) for rest in compositions(m - a, n - 1)]
+
+    return [tuple(s * s for s in c) for c in compositions(m, n)]
+
+
+def assert_masses_match_polytope_volume(phi):
+    """Each atom mass equals n! times the brute-force volume of the cone
+    over its facet."""
+    poly = phi.polyhedron
+    n = poly.dimension
+    origin = (0,) * n
+    for facet, atom in zip(poly.compact_facets, phi.lelong_measure().atoms):
+        ref = polytope_volume([origin, *poly.facet_points(facet)])
+        assert atom.mass == math.factorial(n) * ref
+
+
+class TestVertexRich:
+    # Residual masses and facet counts frozen from the brute-force
+    # C(V, n) facet scan.
+    @pytest.mark.parametrize(
+        "n, m, tau, facets",
+        [(4, 4, 1504, 34), (5, 3, 613, 21), (6, 2, 76, 7)],
+    )
+    def test_residual_mass(self, n, m, tau, facets):
+        gens = vertex_rich(n, m)
+        phi = MonomialWeight(gens)
+        assert phi.residual_mass() == tau
+        assert len(phi.polyhedron.vertices) == len(gens)
+        assert len(phi.polyhedron.compact_facets) == facets
+
+
+class TestAgainstReferences:
+    def test_vertices_and_masses_match_independent_references(self):
+        # Vertices against exact LP membership of each generator in the
+        # hull of the others.
+        rng = random.Random(31)
+        for n in (2, 3, 4, 5):
+            for _ in range(8):
+                phi = random_weight(rng, n, max_exp=9)
+                poly = phi.polyhedron
+                for g in poly.generators:
+                    others = [q for q in poly.generators if q != g]
+                    redundant = bool(others) and cone_point_member(g, others)
+                    assert (g in poly.vertices) != redundant
+                assert_masses_match_polytope_volume(phi)
+
+    @pytest.mark.parametrize("n, m, non_simplicial", [(4, 2, 1), (4, 3, 4)])
+    def test_masses_on_non_simplicial_facets(self, n, m, non_simplicial):
+        phi = MonomialWeight(vertex_rich(n, m))
+        facets = phi.polyhedron.compact_facets
+        assert sum(len(f.vertex_indices) > n for f in facets) == non_simplicial
+        assert_masses_match_polytope_volume(phi)
+
+
+@st.composite
+def integer_weights(draw, max_exp=7):
+    """Generators of a MonomialWeight in dimension 2..6: a pure power on
+    every axis plus a few nonzero extras."""
+    n = draw(st.integers(2, 6))
+    gens = [unit(n, k, draw(st.integers(1, max_exp))) for k in range(n)]
+    coords = st.lists(st.integers(0, max_exp), min_size=n, max_size=n)
+    gens += [tuple(e) for e in draw(st.lists(coords, max_size=4)) if any(e)]
+    return gens
+
+
+class TestProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(integer_weights(), st.randoms(use_true_random=False))
+    def test_permuting_coordinates_permutes_vertices_and_atoms(self, gens, rng):
+        n = len(gens[0])
+        perm = list(range(n))
+        rng.shuffle(perm)
+
+        def move(v):
+            return tuple(v[perm[i]] for i in range(n))
+
+        phi = MonomialWeight(gens)
+        moved = MonomialWeight([move(g) for g in gens])
+        assert moved.polyhedron.vertices == tuple(sorted(move(v) for v in phi.polyhedron.vertices))
+        atoms = sorted((move(a.vertex), a.mass) for a in phi.lelong_measure().atoms)
+        assert sorted((a.vertex, a.mass) for a in moved.lelong_measure().atoms) == atoms
+
+    @settings(max_examples=40, deadline=None)
+    @given(integer_weights(), st.integers(1, 5), st.integers(1, 4))
+    def test_covolume_homogeneous(self, gens, num, den):
+        k = Fraction(num, den)
+        n = len(gens[0])
+        scaled = NewtonPolyhedron([tuple(k * c for c in g) for g in gens])
+        assert scaled.covolume() == k**n * NewtonPolyhedron(gens).covolume()
+
+    @settings(max_examples=40, deadline=None)
+    @given(integer_weights())
+    def test_integer_generators_give_integer_masses(self, gens):
+        for atom in MonomialWeight(gens).lelong_measure().atoms:
+            assert atom.mass.denominator == 1
