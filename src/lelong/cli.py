@@ -229,8 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("jfile")
     s.add_argument("ifile")
     s.add_argument("--oracle", choices=["polarization"])
-    s.add_argument("--seed", type=int, default=0, help="seed for sampling-based oracles")
-    s.add_argument("--samples", type=int, default=10000, help="sample count for sampling-based oracles")
     s.set_defaults(handler=_cmd_mixed)
 
     s = sub.add_parser("contain", help="containment report for (J, I, p)")

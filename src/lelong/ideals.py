@@ -10,13 +10,15 @@ oracle).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
 from .errors import InvalidInputError, NotPrimaryError
+from .newton import pure_power_intercepts
 from .weights import HomogeneousPsh, MonomialWeight, generalized_lelong
-from .rationals import exponent_vector
+from .rationals import exponent_set
 
 
 def _as_int(value: Fraction, what: str) -> int:
@@ -29,16 +31,11 @@ class MonomialIdeal:
     """Finite set of integer exponent vectors, deduplicated and sorted."""
 
     def __init__(self, generators):
-        vecs = sorted({exponent_vector(g) for g in generators})
-        if not vecs:
-            raise InvalidInputError("at least one generator is required")
-        dims = {len(v) for v in vecs}
-        if len(dims) != 1:
-            raise InvalidInputError("generators mix dimensions")
+        vecs = exponent_set(generators)
         for v in vecs:
             if any(c.denominator != 1 for c in v):
                 raise InvalidInputError(f"ideal exponents must be integers, got {v}")
-        self.dimension = dims.pop()
+        self.dimension = len(vecs[0])
         self.generators = tuple(tuple(int(c) for c in v) for v in vecs)
 
     @cached_property
@@ -54,15 +51,11 @@ class PrimaryMonomialIdeal(MonomialIdeal):
 
     def __init__(self, generators):
         super().__init__(generators)
-        n = self.dimension
-        if (0,) * n in self.generators:
+        intercepts = pure_power_intercepts(self.generators)
+        if 0 in intercepts:
             raise NotPrimaryError("the ideal contains a unit")
-        for k in range(n):
-            if not any(
-                g[k] >= 1 and all(g[i] == 0 for i in range(n) if i != k)
-                for g in self.generators
-            ):
-                raise NotPrimaryError(f"no pure power of variable {k}")
+        if math.inf in intercepts:
+            raise NotPrimaryError(f"no pure power of variable {intercepts.index(math.inf)}")
 
     @cached_property
     def weight(self) -> MonomialWeight:
@@ -95,13 +88,11 @@ def minimal_multiplicity(j: MonomialIdeal) -> int:
 
 
 def axis_multiplicities(i: PrimaryMonomialIdeal) -> tuple[int, ...]:
-    """Mixed multiplicity of each coordinate ideal (z_k) against i."""
-    n = i.dimension
-    out = []
-    for k in range(n):
-        probe = MonomialIdeal([tuple(int(idx == k) for idx in range(n))])
-        out.append(mixed_multiplicity(probe, i))
-    return tuple(out)
+    """Mixed multiplicity of each coordinate ideal (z_k) against i: the
+    axis aggregates of i's weight, sum over atoms of mass * -t_k."""
+    if not isinstance(i, PrimaryMonomialIdeal):
+        raise NotPrimaryError("mixed multiplicity needs a primary second ideal")
+    return tuple(_as_int(c, "mixed multiplicity") for c in i.weight._axis_aggregates)
 
 
 def containment_exponents(i: PrimaryMonomialIdeal, p: int) -> tuple[int, ...]:
@@ -156,13 +147,9 @@ def closure_containment_check(
     j: MonomialIdeal, i: PrimaryMonomialIdeal, p: int
 ) -> ContainmentReport:
     """Assemble the containment report for (j, i, p)."""
-    if not isinstance(p, int) or isinstance(p, bool) or p < 1:
-        raise InvalidInputError("p must be a positive integer")
-    if j.dimension != i.dimension:
-        raise InvalidInputError("ideals have different dimensions")
+    p_k = containment_exponents(i, p)
     e = mixed_multiplicity(j, i)
     e_axes = axis_multiplicities(i)
-    p_k = tuple(-(-p // ek) for ek in e_axes)
     rows = []
     for beta in j.generators:
         axis_bound = sum(b * ek for b, ek in zip(beta, e_axes)) >= p

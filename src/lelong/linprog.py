@@ -5,8 +5,8 @@ A small dense phase-one primal simplex with Bland's rule decides whether
 out in Fraction arithmetic, so the answer is exact; Bland's rule
 guarantees termination under degeneracy. The problems solved here are
 tiny (tens of variables), which makes the dense tableau the right tool.
-Its caller is ``geometry.cone_point_member`` and, through it,
-``NewtonPolyhedron.contains`` and the Monte Carlo oracle.
+Its caller is ``geometry.cone_point_member`` and, through it, the
+Monte Carlo oracle.
 """
 
 from __future__ import annotations

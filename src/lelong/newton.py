@@ -40,8 +40,8 @@ from .errors import InvalidInputError, NotPrimaryError
 # hyperplane_normal has no caller here but stays bound in this module:
 # perfbench/test_perfbench.py checks that its tracer wraps a geometry
 # function under every module name that binds it, this one included.
-from .geometry import cone_point_member, det, dot, hyperplane_normal  # noqa: F401
-from .rationals import exponent_vector, vector
+from .geometry import det, dot, hyperplane_normal  # noqa: F401
+from .rationals import exponent_set, vector
 
 
 @dataclass(frozen=True)
@@ -144,18 +144,30 @@ def _pull(face, dim, cuts):
     ]
 
 
+def pure_power_intercepts(generators):
+    """Per axis k, the least g_k over the generators that vanish off axis
+    k, or math.inf when there is none.
+
+    This is the intercept of conv(generators) + R_+^n on axis k. A 0
+    entry means the zero vector is a generator; an inf entry means no
+    pure power lies on that axis.
+    """
+    n = len(generators[0])
+    return tuple(
+        min(
+            (g[k] for g in generators if not any(g[i] for i in range(n) if i != k)),
+            default=math.inf,
+        )
+        for k in range(n)
+    )
+
+
 class NewtonPolyhedron:
     """conv(generators) + positive orthant. Treat instances as immutable."""
 
     def __init__(self, generators):
-        gens = sorted({exponent_vector(g) for g in generators})
-        if not gens:
-            raise InvalidInputError("at least one generator is required")
-        dims = {len(g) for g in gens}
-        if len(dims) != 1:
-            raise InvalidInputError("generators mix dimensions")
-        self.dimension = dims.pop()
-        self.generators = tuple(gens)
+        gens = self.generators = exponent_set(generators)
+        self.dimension = len(gens[0])
         self._scale = math.lcm(*(c.denominator for g in gens for c in g))
         self._points = tuple(tuple(int(c * self._scale) for c in g) for g in gens)
         self._rays = self._enumerate_facets()
@@ -202,17 +214,8 @@ class NewtonPolyhedron:
 
     @cached_property
     def axis_intercepts(self):
-        """Per axis k, the least c with c*e_k in the polyhedron: the least
-        g_k over the generators that vanish off axis k; math.inf when
-        there is none and the polyhedron misses the axis."""
-        n = self.dimension
-        return tuple(
-            min(
-                (g[k] for g in self.generators if not any(g[i] for i in range(n) if i != k)),
-                default=math.inf,
-            )
-            for k in range(n)
-        )
+        """Per axis k, the least c with c*e_k in the polyhedron."""
+        return pure_power_intercepts(self.generators)
 
     @cached_property
     def _facet_cone_volumes(self):
@@ -253,9 +256,6 @@ class NewtonPolyhedron:
             for q in other.vertices
         ]
         return NewtonPolyhedron(sums)
-
-    def contains(self, point) -> bool:
-        return cone_point_member(point, self.vertices)
 
     def __eq__(self, other):
         if not isinstance(other, NewtonPolyhedron):

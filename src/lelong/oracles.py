@@ -6,7 +6,8 @@ Minkowski-sum polarization for mixed multiplicities, direct liminf
 sampling for directional numbers and relative types, and a sampled
 quasi-triangle inequality for directional weights. Floating-point
 oracles report values and tolerances; they never feed back into exact
-results.
+results. Only the two sampled oracles use numpy, and they import it
+themselves, so importing this module (and the CLI) does not load it.
 """
 
 from __future__ import annotations
@@ -16,13 +17,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-import numpy as np
-
 from .errors import InvalidInputError, NotPrimaryError
 from .geometry import cone_point_member
 from .ideals import PrimaryMonomialIdeal
 from .newton import NewtonPolyhedron
-from .rationals import exponent_vector, vector
+from .rationals import exponent_set, vector
 from .weights import HomogeneousPsh, MonomialWeight
 
 
@@ -33,8 +32,8 @@ def covolume_staircase_2d(generators) -> Fraction:
     takes their lower hull by a monotone chain, and integrates the
     resulting piecewise-linear boundary between the two axis intercepts.
     """
-    pts = sorted({exponent_vector(g) for g in generators})
-    if any(len(p) != 2 for p in pts):
+    pts = exponent_set(generators)
+    if len(pts[0]) != 2:
         raise InvalidInputError("the staircase oracle is for dimension 2")
     for k in range(2):
         if not any(p[k] > 0 and p[1 - k] == 0 for p in pts):
@@ -79,6 +78,8 @@ def covolume_monte_carlo(poly: NewtonPolyhedron, samples: int, seed: int) -> McE
     estimate is statistical. Deterministic per (seed, samples) thanks to
     the counter-based Philox generator.
     """
+    import numpy as np
+
     if samples < 1000:
         raise InvalidInputError("need at least 1000 samples")
     box = poly.axis_intercepts
@@ -217,6 +218,8 @@ def quasi_triangle_check(
     polydisk and the default constant is K = log(2) / min(a). Points are
     complex, so near-antipodal coordinate pairs (the tight case) occur.
     """
+    import numpy as np
+
     a = vector(direction)
     if any(c <= 0 for c in a):
         raise InvalidInputError("direction must be componentwise positive")

@@ -2,8 +2,9 @@
 
 Every quantity in this package is a ``fractions.Fraction``; these helpers
 keep the interchange conventions (integers, "p/q" strings, fixed-length
-nonnegative exponent vectors) in one place. Floats are rejected rather
-than converted, so inexact values can never leak into the kernel.
+nonnegative exponent vectors, exponent sets) in one place. Floats are
+rejected rather than converted, so inexact values can never leak into
+the kernel.
 """
 
 from __future__ import annotations
@@ -56,3 +57,13 @@ def exponent_vector(coords, dimension: int | None = None) -> tuple[Fraction, ...
     if any(c < 0 for c in v):
         raise InvalidInputError(f"exponents must be nonnegative, got {coords!r}")
     return v
+
+
+def exponent_set(vectors) -> tuple[tuple[Fraction, ...], ...]:
+    """Exponent vectors deduplicated and sorted; nonempty, one dimension."""
+    vecs = sorted({exponent_vector(v) for v in vectors})
+    if not vecs:
+        raise InvalidInputError("at least one generator is required")
+    if len({len(v) for v in vecs}) != 1:
+        raise InvalidInputError("generators mix dimensions")
+    return tuple(vecs)

@@ -24,8 +24,8 @@ from functools import cached_property
 
 from .errors import InvalidInputError, NotPrimaryError
 from .geometry import dot
-from .newton import NewtonPolyhedron
-from .rationals import exponent_vector, vector
+from .newton import NewtonPolyhedron, pure_power_intercepts
+from .rationals import exponent_set, vector
 
 NEG_INFINITY = float("-inf")
 
@@ -38,14 +38,8 @@ class HomogeneousPsh:
     """
 
     def __init__(self, generators):
-        gens = sorted({exponent_vector(g) for g in generators})
-        if not gens:
-            raise InvalidInputError("at least one exponent vector is required")
-        dims = {len(g) for g in gens}
-        if len(dims) != 1:
-            raise InvalidInputError("generators mix dimensions")
-        self.dimension = dims.pop()
-        self.generators = tuple(gens)
+        self.generators = exponent_set(generators)
+        self.dimension = len(self.generators[0])
 
     @cached_property
     def polyhedron(self) -> NewtonPolyhedron:
@@ -127,15 +121,11 @@ class MonomialWeight(HomogeneousPsh):
 
     def __init__(self, generators):
         super().__init__(generators)
-        n = self.dimension
-        if (Fraction(0),) * n in self.generators:
+        intercepts = pure_power_intercepts(self.generators)
+        if 0 in intercepts:
             raise NotPrimaryError("a zero exponent vector forces zero residual mass")
-        for k in range(n):
-            if not any(
-                g[k] > 0 and all(g[i] == 0 for i in range(n) if i != k)
-                for g in self.generators
-            ):
-                raise NotPrimaryError(f"no pure power on axis {k}")
+        if math.inf in intercepts:
+            raise NotPrimaryError(f"no pure power on axis {intercepts.index(math.inf)}")
 
     @cached_property
     def _residual_mass(self) -> Fraction:
@@ -161,17 +151,22 @@ class MonomialWeight(HomogeneousPsh):
         the cone over the facet."""
         return self._measure
 
-    def extremal_direction(self) -> "DirectionalWeight":
-        """The barycenter a of the normalized measure, a_k being the
-        normalized aggregate of the k-th axis probe; the simplicial
-        weight it defines is the extremal upper-envelope singularity."""
-        tau = self.residual_mass()
+    @cached_property
+    def _axis_aggregates(self) -> tuple[Fraction, ...]:
+        """Per axis k, the sum over atoms of mass * -t_k: the aggregate of
+        the axis probe e_k against the measure."""
         atoms = self.lelong_measure().atoms
-        a = tuple(
-            sum((atom.mass * -atom.vertex[k] for atom in atoms), Fraction(0)) / tau
+        return tuple(
+            sum((atom.mass * -atom.vertex[k] for atom in atoms), Fraction(0))
             for k in range(self.dimension)
         )
-        return DirectionalWeight(a)
+
+    def extremal_direction(self) -> "DirectionalWeight":
+        """The barycenter a of the normalized measure: a_k is the axis
+        aggregate over the residual mass. The simplicial weight it
+        defines is the extremal upper-envelope singularity."""
+        tau = self.residual_mass()
+        return DirectionalWeight(tuple(c / tau for c in self._axis_aggregates))
 
     def is_flat(self) -> bool:
         """True iff the polyhedron has a single compact facet, i.e. the
@@ -179,28 +174,24 @@ class MonomialWeight(HomogeneousPsh):
         return len(self.lelong_measure().atoms) == 1
 
     def flatness_witness(self) -> HomogeneousPsh | None:
-        """A single-generator probe with strictly larger normalized
-        aggregate than relative type, or None when the weight is flat.
+        """The first axis probe e_k whose normalized aggregate exceeds its
+        relative type, or None when the weight is flat.
 
-        The probes scanned are the axis exponents e_k and the vertex
-        exponents of the polyhedron rescaled to normalized aggregate 1;
-        for a non-simplicial weight some axis probe always separates.
+        Against e_k the normalized aggregate is the k-th axis aggregate
+        over the residual mass, and the relative type is the least -t_k
+        over the atoms.
         """
         if self.is_flat():
             return None
-        n = self.dimension
-        probes = []
-        for k in range(n):
-            probes.append(tuple(Fraction(int(i == k)) for i in range(n)))
-        for v in self.polyhedron.vertices:
-            nt = generalized_lelong(HomogeneousPsh([v]), self, normalized=True)
-            if nt > 0:
-                probes.append(tuple(c / nt for c in v))
-        for exponent in probes:
-            probe = HomogeneousPsh([exponent])
-            if generalized_lelong(probe, self, normalized=True) > relative_type(probe, self):
-                return probe
-        return None
+        tau, atoms, n = self.residual_mass(), self.lelong_measure().atoms, self.dimension
+        # The atoms are distinct points with positive masses, so on some
+        # axis the weighted mean exceeds the minimum.
+        k = next(
+            k
+            for k, total in enumerate(self._axis_aggregates)
+            if total > tau * min(-atom.vertex[k] for atom in atoms)
+        )
+        return HomogeneousPsh([tuple(int(i == k) for i in range(n))])
 
     def lojasiewicz_exponent(self) -> Fraction:
         """Largest axis intercept of the polyhedron; finite by validity."""

@@ -95,14 +95,6 @@ class TestCommands:
         assert code == 0
         assert json.loads(out) == {"e": "4", "oracle": "4"}
 
-    def test_mixed_accepts_sampling_flags(self, capsys):
-        code, out, _ = run(
-            capsys, "mixed", SQUARE_CROSS, PHI_STAR,
-            "--oracle", "polarization", "--seed", "7", "--samples", "5000",
-        )
-        assert code == 0
-        assert json.loads(out) == {"e": "4", "oracle": "4"}
-
     def test_contain(self, capsys):
         code, out, _ = run(capsys, "contain", J_Z1Z2, PHI_STAR, "-p", "6")
         assert code == 0
@@ -231,3 +223,12 @@ class TestGoldenSubprocess:
         proc = self._invoke("contain", J_Z1Z2, PHI_STAR, "-p", "0")
         assert proc.returncode == 2
         assert proc.stderr == (GOLDEN / "contain_p0.stderr").read_bytes()
+
+    def test_import_leaves_numpy_unloaded(self):
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, lelong.cli; print('numpy' in sys.modules)"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"

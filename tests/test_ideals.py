@@ -19,7 +19,7 @@ from lelong.ideals import (
 )
 from lelong.oracles import mixed_multiplicity_polarization
 
-from support import ASTAR, random_ideal, random_primary_ideal
+from support import ASTAR, random_ideal, random_primary_ideal, unit
 
 I_STAR = PrimaryMonomialIdeal(ASTAR)
 M2 = PrimaryMonomialIdeal([(1, 0), (0, 1)])
@@ -40,6 +40,20 @@ class TestConstruction:
 
     def test_duplicates_removed(self):
         assert MonomialIdeal([(1, 1), (1, 1), (2, 0)]).generators == ((1, 1), (2, 0))
+
+    @pytest.mark.parametrize(
+        "generators, message",
+        [
+            ([(0, 0), (1, 0), (0, 1)], "the ideal contains a unit"),
+            ([(2, 0), (1, 1)], "no pure power of variable 1"),
+            ([(0, 1, 0), (1, 1, 1)], "no pure power of variable 0"),
+            ([(1, 0, 0), (0, 1, 0), (0, 1, 1)], "no pure power of variable 2"),
+        ],
+    )
+    def test_messages(self, generators, message):
+        with pytest.raises(NotPrimaryError) as info:
+            PrimaryMonomialIdeal(generators)
+        assert str(info.value) == message
 
 
 class TestSamuel:
@@ -82,6 +96,19 @@ class TestMixed:
                 continue
             expected = sum(b * e for b, e in zip(beta, axes))
             assert mixed_multiplicity(MonomialIdeal([beta]), i) == expected
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_axis_multiplicities_are_coordinate_mixed_multiplicities(self, n):
+        rng = random.Random(40 + n)
+        for _ in range(6):
+            i = random_primary_ideal(rng, n, max_exp=6)
+            assert axis_multiplicities(i) == tuple(
+                mixed_multiplicity(MonomialIdeal([unit(n, k)]), i) for k in range(n)
+            )
+
+    def test_axis_multiplicities_need_primary(self):
+        with pytest.raises(NotPrimaryError):
+            axis_multiplicities(MonomialIdeal(ASTAR))
 
     def test_monotone_in_first_argument(self):
         rng = random.Random(33)

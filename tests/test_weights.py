@@ -7,6 +7,8 @@ from fractions import Fraction
 import pytest
 
 from lelong.errors import InvalidInputError, NotPrimaryError
+from lelong.ideals import MonomialIdeal
+from lelong.newton import NewtonPolyhedron
 from lelong.weights import (
     DirectionalWeight,
     HomogeneousPsh,
@@ -15,7 +17,7 @@ from lelong.weights import (
     relative_type,
 )
 
-from support import ASTAR, random_direction, random_psh, random_weight
+from support import ASTAR, random_direction, random_psh, random_weight, unit
 
 PHI_STAR = MonomialWeight(ASTAR)
 M2 = MonomialWeight([(1, 0), (0, 1)])
@@ -41,6 +43,29 @@ class TestValidation:
     def test_empty(self):
         with pytest.raises(InvalidInputError):
             HomogeneousPsh([])
+
+    @pytest.mark.parametrize(
+        "generators, message",
+        [
+            ([(0, 0), (1, 0), (0, 1)], "a zero exponent vector forces zero residual mass"),
+            ([(2, 0), (1, 1)], "no pure power on axis 1"),
+            ([(0, 1, 0), (1, 1, 1)], "no pure power on axis 0"),
+            ([(1, 0, 0), (0, 1, 0), (0, 1, 1)], "no pure power on axis 2"),
+        ],
+    )
+    def test_messages(self, generators, message):
+        with pytest.raises(NotPrimaryError) as info:
+            MonomialWeight(generators)
+        assert str(info.value) == message
+
+
+@pytest.mark.parametrize("cls", [HomogeneousPsh, NewtonPolyhedron, MonomialIdeal])
+def test_exponent_set_rule(cls):
+    with pytest.raises(InvalidInputError, match="at least one generator is required"):
+        cls([])
+    with pytest.raises(InvalidInputError, match="generators mix dimensions"):
+        cls([(1, 0), (0, 1, 0)])
+    assert cls([(2, 0), (0, 1), (2, 0), (1, 1)]).generators == ((0, 1), (1, 1), (2, 0))
 
 
 class TestResidualMass:
@@ -255,6 +280,40 @@ class TestFlatness:
             assert witness is not None
             assert generalized_lelong(witness, phi, normalized=True) > relative_type(witness, phi)
         assert found > 5
+
+    @staticmethod
+    def _separating_axis_probes(phi):
+        probes = [HomogeneousPsh([unit(phi.dimension, k)]) for k in range(phi.dimension)]
+        return [
+            p for p in probes
+            if generalized_lelong(p, phi, normalized=True) > relative_type(p, phi)
+        ]
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_witness_is_first_separating_axis_probe(self, n):
+        rng = random.Random(16 + n)
+        found = 0
+        for _ in range(20):
+            phi = random_weight(rng, n, max_exp=16)
+            separating = self._separating_axis_probes(phi)
+            witness = phi.flatness_witness()
+            if phi.is_flat():
+                assert witness is None and separating == []
+            else:
+                found += 1
+                assert witness.generators == separating[0].generators
+        assert found > 0
+
+    @pytest.mark.parametrize("n", range(3, 7))
+    def test_witness_past_axis_zero(self, n):
+        # Every compact facet passes through 2 e_0, so all atoms share
+        # t_0 and the first separating axis probe is e_1.
+        gens = [unit(n, 0, 2), unit(n, 1, 6), unit(n, 2, 4), (0, 1, 1) + (0,) * (n - 3)]
+        phi = MonomialWeight(gens + [unit(n, k, 3) for k in range(3, n)])
+        assert len({atom.vertex[0] for atom in phi.lelong_measure().atoms}) == 1
+        e_1 = (F(*unit(n, 1)),)
+        assert phi.flatness_witness().generators == e_1
+        assert self._separating_axis_probes(phi)[0].generators == e_1
 
 
 def _lojasiewicz_numeric(phi, span=26.0, steps=40):
