@@ -23,7 +23,6 @@ from .ideals import (
     closure_containment_check,
     mixed_multiplicity,
 )
-from .oracles import mixed_multiplicity_polarization
 from .rationals import format_rational, parse_rational
 from .render import render_weight_svg
 from .weights import HomogeneousPsh, MonomialWeight, generalized_lelong, relative_type
@@ -43,6 +42,10 @@ def _load_document(path):
         raise InvalidInputError(f"{path}: malformed JSON: {exc}") from None
     except RecursionError:
         raise InvalidInputError(f"{path}: malformed JSON: nested too deeply") from None
+    except ValueError:
+        # json.loads raises a plain ValueError for an integer literal
+        # longer than int() accepts.
+        raise InvalidInputError(f"{path}: malformed JSON: an integer has too many digits") from None
     if not isinstance(doc, dict):
         raise InvalidInputError(f"{path}: expected a JSON object")
     n = doc.get("n")
@@ -138,6 +141,8 @@ def _cmd_mixed(args):
     i = _load_primary(args.ifile)
     payload = {"e": format_rational(mixed_multiplicity(j, i))}
     if args.oracle == "polarization":
+        from .oracles import mixed_multiplicity_polarization
+
         jp = PrimaryMonomialIdeal(j.generators)
         payload["oracle"] = format_rational(mixed_multiplicity_polarization(jp, i))
     return payload

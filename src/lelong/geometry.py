@@ -20,6 +20,7 @@ from itertools import combinations
 
 from .errors import InvalidInputError
 from .linprog import feasible
+from .rationals import integer_scaling
 
 
 def _coord(value) -> Fraction:
@@ -60,9 +61,9 @@ def det(rows) -> Fraction:
     a = []
     scale = 1
     for r in rows:
-        m = math.lcm(*(c.denominator for c in r))
+        m, (ints,) = integer_scaling([r])
         scale *= m
-        a.append([int(c * m) for c in r])
+        a.append(list(ints))
     n = len(a)
     sign, prev = 1, 1
     for k in range(n - 1):

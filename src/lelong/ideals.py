@@ -37,10 +37,12 @@ class MonomialIdeal:
                 raise InvalidInputError(f"ideal exponents must be integers, got {v}")
         self.dimension = len(vecs[0])
         self.generators = tuple(tuple(int(c) for c in v) for v in vecs)
+        # The checked Fraction set, which the psh and the weight are built on.
+        self._exponents = vecs
 
     @cached_property
     def psh(self) -> HomogeneousPsh:
-        return HomogeneousPsh(self.generators)
+        return HomogeneousPsh(self._exponents)
 
     def __repr__(self):
         return f"{type(self).__name__}({list(self.generators)!r})"
@@ -59,7 +61,7 @@ class PrimaryMonomialIdeal(MonomialIdeal):
 
     @cached_property
     def weight(self) -> MonomialWeight:
-        return MonomialWeight(self.generators)
+        return MonomialWeight(self._exponents)
 
 
 def samuel_multiplicity(ideal: PrimaryMonomialIdeal) -> int:

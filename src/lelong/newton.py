@@ -41,7 +41,7 @@ from .errors import InvalidInputError, NotPrimaryError
 # perfbench/test_perfbench.py checks that its tracer wraps a geometry
 # function under every module name that binds it, this one included.
 from .geometry import det, dot, hyperplane_normal  # noqa: F401
-from .rationals import exponent_set, vector
+from .rationals import exponent_set, integer_scaling, vector
 
 
 @dataclass(frozen=True)
@@ -168,8 +168,7 @@ class NewtonPolyhedron:
     def __init__(self, generators):
         gens = self.generators = exponent_set(generators)
         self.dimension = len(gens[0])
-        self._scale = math.lcm(*(c.denominator for g in gens for c in g))
-        self._points = tuple(tuple(int(c * self._scale) for c in g) for g in gens)
+        self._scale, self._points = integer_scaling(gens)
         self._rays = self._enumerate_facets()
         self._vertex_ids = self._minimal_vertices()
         self.vertices = tuple(gens[j] for j in self._vertex_ids)

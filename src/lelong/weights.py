@@ -13,6 +13,12 @@ exponent set:
 * directional numbers min_j <b_j, a> and their weighted aggregates,
 * relative types, flatness, the extremal simplicial direction, and the
   Lojasiewicz exponent.
+
+Generators are checked once, when an object is built from outside data;
+the polyhedron, the extremal direction's weight and the aggregates run on
+the checked set. The aggregates read each atom -w/h as its integer
+facet normal w and support h and each u on its integer points, so an atom
+costs integer dot products and one division.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from functools import cached_property
 from .errors import InvalidInputError, NotPrimaryError
 from .geometry import dot
 from .newton import NewtonPolyhedron, pure_power_intercepts
-from .rationals import exponent_set, vector
+from .rationals import _ExponentSet, exponent_set, integer_scaling, vector
 
 NEG_INFINITY = float("-inf")
 
@@ -44,6 +50,11 @@ class HomogeneousPsh:
     @cached_property
     def polyhedron(self) -> NewtonPolyhedron:
         return NewtonPolyhedron(self.generators)
+
+    @cached_property
+    def _integer_points(self):
+        """The lcm L of the generators' denominators and the points L*b_j."""
+        return integer_scaling(self.generators)
 
     def evaluate(self, t):
         """max_j <b_j, t> for t in the closed negative orthant.
@@ -212,9 +223,12 @@ class DirectionalWeight(MonomialWeight):
             raise InvalidInputError("direction must be componentwise positive")
         self.direction = d
         n = len(d)
-        gens = [
-            tuple(1 / d[k] if i == k else Fraction(0) for i in range(n)) for k in range(n)
-        ]
+        # A valid direction makes the n vectors e_k / a_k a checked set;
+        # listed from k = n - 1 down to 0 they are already sorted.
+        gens = _ExponentSet(
+            tuple(1 / d[k] if i == k else Fraction(0) for i in range(n))
+            for k in reversed(range(n))
+        )
         super().__init__(gens)
 
 
@@ -227,16 +241,33 @@ def _check_pair(u: HomogeneousPsh, phi: MonomialWeight):
         )
 
 
+def _atom_numbers(u: HomogeneousPsh, phi: MonomialWeight) -> list[Fraction]:
+    """u's directional number min_j <b_j, -t> at each atom t of phi, in
+    atom order.
+
+    The atom of a compact facet with integer normal w and support h is
+    t = -w/h; with u's generators scaled to integer points P_j by the lcm
+    L of their denominators, its number is min_j <P_j, w> / (L h).
+    """
+    _check_pair(u, phi)
+    scale, points = u._integer_points
+    numbers = []
+    for facet in phi.polyhedron.compact_facets:
+        least = min(sum(p * w for p, w in zip(point, facet.normal)) for point in points)
+        h = facet.support
+        numbers.append(Fraction(least * h.denominator, scale * h.numerator))
+    return numbers
+
+
 def generalized_lelong(u: HomogeneousPsh, phi: MonomialWeight, normalized: bool = False):
     """Aggregate of u's directional numbers against phi's measure.
 
     Sum over atoms (t, mass) of mass * min_j <b_j, -t>; with
     ``normalized`` the result is divided by phi's residual mass.
     """
-    _check_pair(u, phi)
-    total = Fraction(0)
-    for atom in phi.lelong_measure().atoms:
-        total += atom.mass * u.directional_lelong(tuple(-c for c in atom.vertex))
+    numbers = _atom_numbers(u, phi)
+    atoms = phi.lelong_measure().atoms
+    total = sum((atom.mass * nu for atom, nu in zip(atoms, numbers)), Fraction(0))
     if normalized:
         return total / phi.residual_mass()
     return total
@@ -249,8 +280,4 @@ def relative_type(u: HomogeneousPsh, phi: MonomialWeight) -> Fraction:
     extreme points because the objective is nondecreasing along the
     recession cone; the numeric oracle cross-checks this reduction.
     """
-    _check_pair(u, phi)
-    return min(
-        u.directional_lelong(tuple(-c for c in atom.vertex))
-        for atom in phi.lelong_measure().atoms
-    )
+    return min(_atom_numbers(u, phi))

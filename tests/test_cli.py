@@ -6,8 +6,10 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 from lelong.cli import main
-from lelong.rationals import parse_rational
+from lelong.rationals import MAX_DIGITS, parse_rational
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
@@ -177,12 +179,48 @@ class TestErrors:
         assert code == 2
         assert err == "p must be a positive integer\n"
 
+    def test_integer_past_the_digit_limit(self, capsys, tmp_path):
+        path = tmp_path / "huge.json"
+        path.write_text('{"n": 2, "generators": [[1' + "0" * 5000 + ', 0], [0, 1]]}')
+        code, _, err = run(capsys, "mass", str(path))
+        assert code == 2
+        assert "malformed JSON: an integer has too many digits" in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "entry",
+        ["1.5", "1e2", " 3 ", "3\n", "1_000", "\u0663", "+3", ".5", "1/-2", "1/2/3", "", "1/",
+         "1/0", "1" * (MAX_DIGITS + 1)],
+    )
+    def test_entry_outside_the_grammar(self, capsys, tmp_path, entry):
+        doc = {"n": 2, "generators": [[entry, 0], [0, 1]]}
+        path = tmp_path / "entry.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "mass", str(path))
+        assert code == 2
+        assert err.startswith("not a valid rational") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("a", ["1.5,1", "1e2,1", "1,+3"])
+    def test_direction_outside_the_grammar(self, capsys, a):
+        code, _, err = run(capsys, "dir-lelong", PHI_STAR, "--a", a)
+        assert code == 2
+        assert err.startswith("bad direction")
+
     def test_float_generator_rejected(self, capsys, tmp_path):
         doc = {"n": 2, "generators": [[1.5, 0], [0, 1]]}
         path = tmp_path / "float.json"
         path.write_text(json.dumps(doc))
         code, _, _ = run(capsys, "mass", str(path))
         assert code == 2
+
+
+@pytest.mark.parametrize(
+    "text, value",
+    [("3", 3), ("-1/2", Fraction(-1, 2)), ("007", 7), ("4/6", Fraction(2, 3)), ("-0", 0),
+     ("9" * MAX_DIGITS + "/" + "9" * MAX_DIGITS, 1)],
+)
+def test_rational_grammar(text, value):
+    assert parse_rational(text) == value
 
 
 class TestStability:
@@ -225,10 +263,18 @@ class TestGoldenSubprocess:
         assert proc.stderr == (GOLDEN / "contain_p0.stderr").read_bytes()
 
     def test_import_leaves_numpy_unloaded(self):
-        proc = subprocess.run(
-            [sys.executable, "-c", "import sys, lelong.cli; print('numpy' in sys.modules)"],
-            capture_output=True,
-            text=True,
-        )
+        code = "import sys, lelong.cli; print('numpy' in sys.modules, 'lelong.oracles' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "False\n"
+        assert proc.stdout == "False False\n"
+
+    def test_exponent_notation_exits_fast(self, tmp_path):
+        # Fraction("1e999999999") would build a billion-digit integer.
+        path = tmp_path / "exp.json"
+        path.write_text('{"n": 2, "generators": [["1e999999999", 0], [0, 1]]}')
+        for argv in (["mass", str(path)], ["dir-lelong", PHI_STAR, "--a", "1e999999999,1"]):
+            proc = subprocess.run(
+                [sys.executable, "-m", "lelong.cli", *argv], capture_output=True, timeout=20
+            )
+            assert proc.returncode == 2
+            assert proc.stderr.count(b"\n") == 1

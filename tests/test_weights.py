@@ -7,8 +7,9 @@ from fractions import Fraction
 import pytest
 
 from lelong.errors import InvalidInputError, NotPrimaryError
-from lelong.ideals import MonomialIdeal
+from lelong.ideals import MonomialIdeal, PrimaryMonomialIdeal
 from lelong.newton import NewtonPolyhedron
+from lelong.rationals import exponent_set
 from lelong.weights import (
     DirectionalWeight,
     HomogeneousPsh,
@@ -17,7 +18,14 @@ from lelong.weights import (
     relative_type,
 )
 
-from support import ASTAR, random_direction, random_psh, random_weight, unit
+from support import (
+    ASTAR,
+    random_direction,
+    random_primary_ideal,
+    random_psh,
+    random_weight,
+    unit,
+)
 
 PHI_STAR = MonomialWeight(ASTAR)
 M2 = MonomialWeight([(1, 0), (0, 1)])
@@ -66,6 +74,48 @@ def test_exponent_set_rule(cls):
     with pytest.raises(InvalidInputError, match="generators mix dimensions"):
         cls([(1, 0), (0, 1, 0)])
     assert cls([(2, 0), (0, 1), (2, 0), (1, 1)]).generators == ((0, 1), (1, 1), (2, 0))
+
+
+@pytest.mark.parametrize("cls", [HomogeneousPsh, NewtonPolyhedron, MonomialIdeal])
+def test_plain_tuple_is_checked_in_full(cls):
+    # Shaped like a checked set (sorted, deduplicated Fraction vectors),
+    # but a plain tuple: it gets every check.
+    negative = ((Fraction(-1), Fraction(2)), (Fraction(0), Fraction(1)))
+    with pytest.raises(InvalidInputError, match="exponents must be nonnegative"):
+        cls(negative)
+    mixed = ((Fraction(0), Fraction(1)), (Fraction(1), Fraction(0), Fraction(0)))
+    with pytest.raises(InvalidInputError, match="generators mix dimensions"):
+        cls(mixed)
+
+
+def test_checked_set_is_returned_as_is():
+    checked = exponent_set(ASTAR)
+    assert exponent_set(checked) is checked
+    plain = tuple(checked)
+    assert exponent_set(plain) == checked and exponent_set(plain) is not plain
+
+
+def _all_fractions(generators):
+    return all(type(c) is Fraction for g in generators for c in g)
+
+
+def test_derived_objects_match_public_construction():
+    rng = random.Random(40)
+    for n in range(2, 7):
+        for _ in range(6):
+            gens = random_primary_ideal(rng, n).generators
+            psh, weight = HomogeneousPsh(gens), MonomialWeight(gens)
+            extremal = weight.extremal_direction()
+            axes = [unit(n, k, 1 / c) for k, c in enumerate(extremal.direction)]
+            derived = [
+                (MonomialIdeal(gens).psh, psh),
+                (PrimaryMonomialIdeal(gens).weight, weight),
+                (psh.polyhedron, NewtonPolyhedron(gens)),
+                (extremal, MonomialWeight(axes)),
+            ]
+            for got, want in derived:
+                assert got.generators == want.generators
+                assert _all_fractions(got.generators) and _all_fractions(want.generators)
 
 
 class TestResidualMass:
@@ -188,6 +238,35 @@ class TestGeneralizedLelong:
             assert combined <= bound
             if phi.is_flat():
                 assert combined == bound
+
+
+def _aggregates_by_directional_numbers(u, phi):
+    """generalized_lelong, its normalized form and relative_type, taken
+    atom by atom through the public directional number."""
+    numbers = [
+        (atom.mass, u.directional_lelong(tuple(-c for c in atom.vertex)))
+        for atom in phi.lelong_measure().atoms
+    ]
+    total = sum((mass * nu for mass, nu in numbers), Fraction(0))
+    return total, total / phi.residual_mass(), min(nu for _, nu in numbers)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_aggregates_match_directional_numbers(n):
+    rng = random.Random(30 + n)
+    nonflat = scaled = 0
+    for _ in range(15):
+        phi = random_weight(rng, n, max_exp=16)
+        nonflat += not phi.is_flat()
+        for u in (random_psh(rng, n), DirectionalWeight(random_direction(rng, n))):
+            scaled += any(c.denominator > 1 for g in u.generators for c in g)
+            got = (
+                generalized_lelong(u, phi),
+                generalized_lelong(u, phi, normalized=True),
+                relative_type(u, phi),
+            )
+            assert got == _aggregates_by_directional_numbers(u, phi)
+    assert nonflat > 0 and scaled > 0
 
 
 class TestRelativeType:
