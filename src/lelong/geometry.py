@@ -1,8 +1,11 @@
 """Exact geometric predicates and volumes.
 
-Points are plain tuples of Fractions. The module provides the exact
-determinant (Bareiss fraction-free elimination), simplex volumes, and
-membership in a Newton polyhedron, decided by exact LP feasibility.
+The module provides the exact determinant (Bareiss fraction-free
+elimination), simplex volumes, and membership in a Newton polyhedron,
+decided by exact LP feasibility. The public entries coerce their points
+with ``rationals.vector``, so they take the package's one rational
+grammar and dimensions 2..6; ``det``, ``dot`` and the other helpers
+work on exact values the package has already checked.
 
 ``polytope_volume`` is the exact volume of the convex hull of a point
 set, computed by pyramid decomposition from a base vertex with
@@ -20,27 +23,7 @@ from itertools import combinations
 
 from .errors import InvalidInputError
 from .linprog import feasible
-from .rationals import integer_scaling
-
-
-def _coord(value) -> Fraction:
-    if isinstance(value, float):
-        raise InvalidInputError(f"float coordinates are not exact: {value!r}")
-    return Fraction(value)
-
-
-def _point(p) -> tuple[Fraction, ...]:
-    return tuple(_coord(c) for c in p)
-
-
-def _points(ps, what="point set"):
-    pts = [_point(p) for p in ps]
-    if not pts:
-        raise InvalidInputError(f"empty {what}")
-    n = len(pts[0])
-    if any(len(p) != n for p in pts):
-        raise InvalidInputError(f"{what} mixes dimensions")
-    return pts
+from .rationals import integer_scaling, vector
 
 
 def dot(u, v) -> Fraction:
@@ -89,8 +72,12 @@ def simplex_volume(points) -> Fraction:
     Returns |det(p_1 - p_0, ..., p_n - p_0)| / n!; zero exactly when the
     points are affinely dependent.
     """
-    pts = _points(points, "simplex")
+    pts = [vector(p) for p in points]
+    if not pts:
+        raise InvalidInputError("empty simplex")
     n = len(pts[0])
+    if any(len(p) != n for p in pts):
+        raise InvalidInputError("simplex mixes dimensions")
     if len(pts) != n + 1:
         raise InvalidInputError(f"need {n + 1} points in dimension {n}, got {len(pts)}")
     d = det([vsub(p, pts[0]) for p in pts[1:]])
@@ -160,8 +147,13 @@ def _volume(pts, d) -> Fraction:
 
 def polytope_volume(points) -> Fraction:
     """Exact volume of conv(points); zero when not full-dimensional."""
-    pts = _points(points, "polytope")
-    return _volume(pts, len(pts[0]))
+    pts = [vector(p) for p in points]
+    if not pts:
+        raise InvalidInputError("empty polytope")
+    n = len(pts[0])
+    if any(len(p) != n for p in pts):
+        raise InvalidInputError("polytope mixes dimensions")
+    return _volume(pts, n)
 
 
 def cone_point_member(point, generators) -> bool:
@@ -172,8 +164,12 @@ def cone_point_member(point, generators) -> bool:
     feasibility after two fast exact shortcuts (domination of a single
     generator, and a per-coordinate lower bound).
     """
-    x = _point(point)
-    gens = _points(generators, "generator set")
+    x = vector(point)
+    gens = [vector(g) for g in generators]
+    if not gens:
+        raise InvalidInputError("empty generator set")
+    if any(len(g) != len(gens[0]) for g in gens):
+        raise InvalidInputError("generator set mixes dimensions")
     n = len(x)
     if len(gens[0]) != n:
         raise InvalidInputError(f"point has dimension {n}, generators {len(gens[0])}")

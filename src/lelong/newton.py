@@ -13,7 +13,10 @@ adjacent by the combinatorial test on their zero sets. The work is
 proportional to the rays that exist, not to the n-subsets of vertices.
 Everything else is read off the rays and their zero sets:
 
-* a generator is a vertex iff the rays tight on it have rank n;
+* a generator is a vertex iff its set of tight rays is not a proper
+  subset of another generator's: each vertex is tight on a facet of C,
+  and the face of C on which a non-vertex is tight lies strictly
+  inside one of those facets;
 * the compact facets are the rays with w > 0 that are tight on some
   generator, with primitive normal w/gcd(w), support t/(L gcd(w)) and
   the vertices of their zero set as incidence;
@@ -105,24 +108,6 @@ def _dual_rays(points, n):
     return rays
 
 
-def _rank(rows):
-    """Rank of an integer matrix by fraction-free elimination."""
-    rows = [list(r) for r in rows]
-    rank = 0
-    for col in range(len(rows[0]) if rows else 0):
-        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        top = rows[rank]
-        for i in range(rank + 1, len(rows)):
-            f = rows[i][col]
-            if f:
-                rows[i] = [top[col] * x - f * y for x, y in zip(rows[i], top)]
-        rank += 1
-    return rank
-
-
 def _pull(face, dim, cuts):
     """Pulling triangulation of a face of dimension ``dim``, given by its
     vertex mask, as the vertex masks of its simplices.
@@ -152,14 +137,15 @@ def pure_power_intercepts(generators):
     entry means the zero vector is a generator; an inf entry means no
     pure power lies on that axis.
     """
-    n = len(generators[0])
-    return tuple(
-        min(
-            (g[k] for g in generators if not any(g[i] for i in range(n) if i != k)),
-            default=math.inf,
-        )
-        for k in range(n)
-    )
+    least = [math.inf] * len(generators[0])
+    for g in generators:
+        axes = [k for k, c in enumerate(g) if c]
+        if not axes:
+            return tuple(g)
+        if len(axes) == 1:
+            k = axes[0]
+            least[k] = min(least[k], g[k])
+    return tuple(least)
 
 
 class NewtonPolyhedron:
@@ -180,12 +166,16 @@ class NewtonPolyhedron:
         return tuple((r, z >> shift) for r, z in _dual_rays(self._points, self.dimension))
 
     def _minimal_vertices(self):
-        """Indices of the generators that are vertices."""
-        n = self.dimension
+        """Indices of the generators that are vertices: those whose mask of
+        tight rays (bit i for ray i) is not a proper subset of another's."""
+        masks = [0] * len(self._points)
+        for i, (_, tight) in enumerate(self._rays):
+            for j in _bits(tight):
+                masks[j] |= 1 << i
         return tuple(
             j
-            for j in range(len(self._points))
-            if _rank([r for r, tight in self._rays if tight >> j & 1]) == n
+            for j, m in enumerate(masks)
+            if not any(m & o == m and m != o for o in masks)
         )
 
     def _compact_facets(self):

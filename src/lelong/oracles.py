@@ -21,7 +21,7 @@ from .errors import InvalidInputError, NotPrimaryError
 from .geometry import cone_point_member
 from .ideals import PrimaryMonomialIdeal
 from .newton import NewtonPolyhedron
-from .rationals import exponent_set, vector
+from .rationals import exponent_set, positive_direction
 from .weights import HomogeneousPsh, MonomialWeight
 
 
@@ -104,22 +104,16 @@ def covolume_monte_carlo(poly: NewtonPolyhedron, samples: int, seed: int) -> McE
     )
 
 
-def _poly_coeffs(values):
-    """Coefficients of the polynomial interpolating values at 0, 1, ..., n."""
-    n = len(values) - 1
-    rows = [
-        [Fraction(t) ** j for j in range(n + 1)] + [Fraction(values[t])]
-        for t in range(n + 1)
-    ]
-    for col in range(n + 1):
-        piv = next(r for r in range(col, n + 1) if rows[r][col])
-        rows[col], rows[piv] = rows[piv], rows[col]
-        rows[col] = [v / rows[col][col] for v in rows[col]]
-        for r in range(n + 1):
-            if r != col and rows[r][col]:
-                f = rows[r][col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[col])]
-    return [rows[i][-1] for i in range(n + 1)]
+def _slope_at_zero(values):
+    """T'(0) for the polynomial T of degree len(values) - 1 with
+    T(t) = values[t], from the forward differences of the values:
+    T'(0) = sum_{k >= 1} (-1)^(k-1) Delta^k T(0) / k."""
+    slope = Fraction(0)
+    diffs = list(values)
+    for k in range(1, len(values)):
+        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+        slope += Fraction((-1) ** (k - 1) * diffs[0], k)
+    return slope
 
 
 def mixed_multiplicity_polarization(
@@ -127,9 +121,10 @@ def mixed_multiplicity_polarization(
 ) -> Fraction:
     """Mixed multiplicity via dilated Minkowski sums.
 
-    Evaluates T(t) = n! covol(Gamma_i + t Gamma_j) at t = 0..n, fits the
-    degree-n polynomial exactly, and returns the linear coefficient over
-    n. Entirely disjoint from the measure aggregation path.
+    Evaluates T(t) = n! covol(Gamma_i + t Gamma_j) at t = 0..n, takes
+    the exact slope of the degree-n polynomial at t = 0 from their
+    forward differences, and returns it over n. Entirely disjoint from
+    the measure aggregation path.
     """
     if not isinstance(j, PrimaryMonomialIdeal) or not isinstance(i, PrimaryMonomialIdeal):
         raise NotPrimaryError("polarization needs two primary ideals")
@@ -144,17 +139,14 @@ def mixed_multiplicity_polarization(
             tuple(a + t * b for a, b in zip(p, q)) for p in vi for q in vj
         ]
         values.append(math.factorial(n) * NewtonPolyhedron(sums).covolume())
-    coeffs = _poly_coeffs(values)
-    return coeffs[1] / n
+    return _slope_at_zero(values) / n
 
 
 def directional_lelong_numeric(u: HomogeneousPsh, direction, r: float = -1000.0) -> float:
     """f_u(r a) / r in floating point; exact for homogeneous data."""
     if r > -100:
         raise InvalidInputError("need r <= -100")
-    a = [float(c) for c in vector(direction, u.dimension)]
-    if any(c <= 0 for c in a):
-        raise InvalidInputError("direction must be componentwise positive")
+    a = [float(c) for c in positive_direction(direction, u.dimension)]
     best = max(sum(float(g) * r * c for g, c in zip(gen, a)) for gen in u.generators)
     return best / r
 
@@ -220,9 +212,7 @@ def quasi_triangle_check(
     """
     import numpy as np
 
-    a = vector(direction)
-    if any(c <= 0 for c in a):
-        raise InvalidInputError("direction must be componentwise positive")
+    a = positive_direction(direction)
     af = np.array([float(c) for c in a])
     n = len(a)
     k_const = math.log(2.0) / float(min(a)) if constant is None else float(constant)

@@ -1,10 +1,12 @@
 """Exact rational parsing, formatting, and vector coercion.
 
-Every quantity in this package is a ``fractions.Fraction``; these helpers
-keep the interchange conventions (integers, "p/q" strings, fixed-length
-nonnegative exponent vectors, exponent sets) in one place. Floats are
-rejected rather than converted, so inexact values can never leak into
-the kernel.
+Every quantity in this package is a ``fractions.Fraction``, and this is
+the one module that turns outside values into Fractions: exponent
+vectors and sets, points, and directions all go through
+``parse_rational``, so every public entry accepts the same grammar
+(ints, Fractions and "p/q" strings). Floats, bools, Decimals and every
+other string are rejected rather than converted, so inexact values can
+never leak into the kernel.
 
 Validation happens once, at the boundary. ``exponent_set`` checks its
 input and returns the set as a private tuple subclass; handed back in,
@@ -81,6 +83,14 @@ def exponent_vector(coords, dimension: int | None = None) -> tuple[Fraction, ...
     v = vector(coords, dimension)
     if any(c < 0 for c in v):
         raise InvalidInputError(f"exponents must be nonnegative, got {coords!r}")
+    return v
+
+
+def positive_direction(coords, dimension: int | None = None) -> tuple[Fraction, ...]:
+    """A vector whose entries must in addition be strictly positive."""
+    v = vector(coords, dimension)
+    if any(c <= 0 for c in v):
+        raise InvalidInputError("direction must be componentwise positive")
     return v
 
 

@@ -31,7 +31,13 @@ from functools import cached_property
 from .errors import InvalidInputError, NotPrimaryError
 from .geometry import dot
 from .newton import NewtonPolyhedron, pure_power_intercepts
-from .rationals import _ExponentSet, exponent_set, integer_scaling, vector
+from .rationals import (
+    _ExponentSet,
+    exponent_set,
+    integer_scaling,
+    parse_rational,
+    positive_direction,
+)
 
 NEG_INFINITY = float("-inf")
 
@@ -59,18 +65,18 @@ class HomogeneousPsh:
     def evaluate(self, t):
         """max_j <b_j, t> for t in the closed negative orthant.
 
-        Coordinates may be -inf; a term with a positive exponent on an
-        infinite coordinate evaluates to -inf, a zero exponent ignores it.
+        Finite coordinates follow the package's rational grammar; a
+        coordinate may also be the float -inf. A term with a positive
+        exponent on an infinite coordinate evaluates to -inf, a zero
+        exponent ignores it.
         Returns a Fraction, or -inf when every term is -inf.
         """
         coords = []
         for c in t:
-            if isinstance(c, float):
-                if c == NEG_INFINITY:
-                    coords.append(None)
-                    continue
-                raise InvalidInputError(f"finite coordinates must be rational, got {c!r}")
-            q = Fraction(c)
+            if isinstance(c, float) and c == NEG_INFINITY:
+                coords.append(None)
+                continue
+            q = parse_rational(c)
             if q > 0:
                 raise InvalidInputError("evaluation point must be componentwise <= 0")
             coords.append(q)
@@ -95,9 +101,7 @@ class HomogeneousPsh:
 
     def directional_lelong(self, direction) -> Fraction:
         """min_j <b_j, a> for a strictly positive direction a."""
-        a = vector(direction, self.dimension)
-        if any(c <= 0 for c in a):
-            raise InvalidInputError("direction must be componentwise positive")
+        a = positive_direction(direction, self.dimension)
         return min(dot(g, a) for g in self.generators)
 
     def __repr__(self):
@@ -218,10 +222,7 @@ class DirectionalWeight(MonomialWeight):
     """
 
     def __init__(self, direction):
-        d = vector(direction)
-        if any(c <= 0 for c in d):
-            raise InvalidInputError("direction must be componentwise positive")
-        self.direction = d
+        d = self.direction = positive_direction(direction)
         n = len(d)
         # A valid direction makes the n vectors e_k / a_k a checked set;
         # listed from k = n - 1 down to 0 they are already sorted.

@@ -1,0 +1,112 @@
+"""One input grammar for every public entry that takes coordinates or a
+direction: each coerces through ``lelong.rationals``, so each accepts and
+rejects exactly what ``parse_rational`` does."""
+
+import subprocess
+import sys
+from decimal import Decimal
+
+import pytest
+
+from lelong.errors import InvalidInputError
+from lelong.geometry import cone_point_member, polytope_volume, simplex_volume
+from lelong.newton import NewtonPolyhedron
+from lelong.oracles import directional_lelong_numeric, quasi_triangle_check
+from lelong.rationals import parse_rational
+from lelong.weights import DirectionalWeight, MonomialWeight
+
+from support import ASTAR
+
+PHI_STAR = MonomialWeight(ASTAR)
+
+# name -> (entry taking one coordinate x, sign of the coordinates it accepts)
+ENTRIES = {
+    "simplex_volume": (lambda x: simplex_volume([(x, 0), (0, 0), (0, 1)]), 1),
+    "polytope_volume": (lambda x: polytope_volume([(x, 0), (0, 0), (0, 1)]), 1),
+    "cone_point_member.point": (lambda x: cone_point_member((x, 1), ASTAR), 1),
+    "cone_point_member.generators": (lambda x: cone_point_member((2, 1), [(x, 0), (0, 3)]), 1),
+    "evaluate": (lambda x: PHI_STAR.evaluate((x, -1)), -1),
+    "directional_lelong": (lambda x: PHI_STAR.directional_lelong((x, 1)), 1),
+    "DirectionalWeight": (lambda x: DirectionalWeight((x, 1)).generators, 1),
+    "support_min": (lambda x: NewtonPolyhedron(ASTAR).support_min((x, 1)), 1),
+    "directional_lelong_numeric": (lambda x: directional_lelong_numeric(PHI_STAR, (x, 1)), 1),
+    "quasi_triangle_check": (lambda x: quasi_triangle_check((x, 1), samples=16), 1),
+}
+
+# The three messages of parse_rational, so that a rejection by a later
+# check (the sign of an evaluation point, say) does not count.
+GRAMMAR = r"not a valid rational|expected a rational number|expected an integer or 'p/q' string"
+
+DIRECTIONS = {
+    "directional_lelong": lambda a: PHI_STAR.directional_lelong(a),
+    "DirectionalWeight": DirectionalWeight,
+    "directional_lelong_numeric": lambda a: directional_lelong_numeric(PHI_STAR, a),
+    "quasi_triangle_check": lambda a: quasi_triangle_check(a, samples=16),
+}
+
+
+@pytest.mark.parametrize("form", ["1.5", "1e2", "+3", " 3 ", True, Decimal("1"), 0.5], ids=repr)
+@pytest.mark.parametrize("name", list(ENTRIES))
+def test_entry_rejects_forms_outside_the_grammar(name, form):
+    entry, _ = ENTRIES[name]
+    with pytest.raises(InvalidInputError, match=GRAMMAR):
+        entry(form)
+
+
+@pytest.mark.parametrize("text", ["3/2", "2", "007"])
+@pytest.mark.parametrize("name", list(ENTRIES))
+def test_entry_reads_strings_as_parse_rational_does(name, text):
+    entry, sign = ENTRIES[name]
+    if sign < 0:
+        text = "-" + text
+    assert entry(text) == entry(parse_rational(text))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: simplex_volume([(0,), (1,)]),
+        lambda: polytope_volume([(0,) * 7, (1,) * 7]),
+        lambda: cone_point_member((1,), [(1,)]),
+        lambda: cone_point_member((1,) * 7, [(1,) * 7]),
+        lambda: quasi_triangle_check((1,), samples=16),
+        lambda: DirectionalWeight((1,) * 7),
+    ],
+    ids=["simplex-1", "polytope-7", "member-1", "member-7", "quasi-triangle-1", "directional-7"],
+)
+def test_dimension_outside_two_to_six_rejected(call):
+    with pytest.raises(InvalidInputError, match="supported dimensions are 2..6"):
+        call()
+
+
+@pytest.mark.parametrize("a", [(0, 1), (1, -2), ("-1/2", 1)])
+@pytest.mark.parametrize("name", list(DIRECTIONS))
+def test_direction_must_be_positive(name, a):
+    with pytest.raises(InvalidInputError, match="^direction must be componentwise positive$"):
+        DIRECTIONS[name](a)
+
+
+@pytest.mark.parametrize("name", ["directional_lelong", "directional_lelong_numeric"])
+def test_direction_must_match_the_dimension(name):
+    with pytest.raises(InvalidInputError, match="expected a vector of length 2, got 3"):
+        DIRECTIONS[name]((1, 1, 1))
+
+
+@pytest.mark.parametrize(
+    "code",
+    [
+        "cone_point_member(('1e999999999', 0), [(1, 0), (0, 1)])",
+        "HomogeneousPsh([(1, 0)]).evaluate(('-1e999999999', -1))",
+    ],
+)
+def test_exponent_notation_exits_fast(code):
+    # Fraction("1e999999999") would build a billion-digit integer.
+    script = (
+        "from lelong import HomogeneousPsh, InvalidInputError, cone_point_member\n"
+        f"try:\n    {code}\nexcept InvalidInputError as exc:\n    print(exc)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=20
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("not a valid rational: '")
