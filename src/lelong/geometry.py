@@ -1,11 +1,15 @@
 """Exact geometric predicates and volumes.
 
-The module provides the exact determinant (Bareiss fraction-free
-elimination), simplex volumes, and membership in a Newton polyhedron,
-decided by exact LP feasibility. The public entries coerce their points
-with ``rationals.vector``, so they take the package's one rational
-grammar and dimensions 2..6; ``det``, ``dot`` and the other helpers
-work on exact values the package has already checked.
+The module provides the exact determinant, simplex volumes, and
+membership in a Newton polyhedron, decided by exact LP feasibility. The
+one elimination routine is ``int_det``: Bareiss fraction-free
+elimination on integer rows, in ints from start to finish, which the
+facet-cone volumes call directly. ``det`` is its rational wrapper: it
+scales the whole matrix once to integers and makes one Fraction of the
+result. The public entries coerce their points with ``rationals.vector``,
+so they take the package's one rational grammar and dimensions 2..6;
+``int_det``, ``det``, ``dot`` and the other helpers work on exact values
+the package has already checked.
 
 ``polytope_volume`` is the exact volume of the convex hull of a point
 set, computed by pyramid decomposition from a base vertex with
@@ -34,36 +38,37 @@ def vsub(u, v):
     return tuple(a - b for a, b in zip(u, v))
 
 
-def det(rows) -> Fraction:
-    """Exact determinant by Bareiss fraction-free elimination (Bareiss,
-    Math. Comp. 22, 1968).
+def int_det(rows) -> int:
+    """Determinant of a square integer matrix by Bareiss fraction-free
+    elimination (Bareiss, Math. Comp. 22, 1968).
 
-    Each rational row is first scaled to integers, so every elimination
-    step is an exact integer division.
+    Every elimination step is an exact integer division, so the work
+    stays in ints from start to finish. A zero pivot is swapped for the
+    first nonzero entry below it; a column without one makes the
+    determinant zero.
     """
-    a = []
-    scale = 1
-    for r in rows:
-        m, (ints,) = integer_scaling([r])
-        scale *= m
-        a.append(list(ints))
-    n = len(a)
+    a = list(rows)
     sign, prev = 1, 1
-    for k in range(n - 1):
-        if not a[k][k]:
-            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
+    while len(a) > 1:
+        top = a[0]
+        if not top[0]:
+            swap = next((i for i in range(1, len(a)) if a[i][0]), None)
             if swap is None:
-                return Fraction(0)
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        top = a[k]
-        piv = top[k]
-        for i in range(k + 1, n):
-            row = a[i]
-            f = row[k]
-            a[i] = [(piv * x - f * y) // prev for x, y in zip(row, top)]
+                return 0
+            a[0], a[swap] = a[swap], top
+            top, sign = a[0], -sign
+        piv, rest = top[0], top[1:]
+        a = [[(piv * x - row[0] * y) // prev for x, y in zip(row[1:], rest)] for row in a[1:]]
         prev = piv
-    return Fraction(sign * a[-1][-1], scale) if n else Fraction(1)
+    return sign * a[0][0] if a else 1
+
+
+def det(rows) -> Fraction:
+    """Exact determinant of a square rational matrix: the whole matrix is
+    scaled once to integers by the lcm L of its denominators, and the
+    determinant is int_det of the scaled rows over L^n."""
+    scale, ints = integer_scaling(rows)
+    return Fraction(int_det(ints), scale ** len(ints))
 
 
 def simplex_volume(points) -> Fraction:
@@ -173,6 +178,13 @@ def cone_point_member(point, generators) -> bool:
     n = len(x)
     if len(gens[0]) != n:
         raise InvalidInputError(f"point has dimension {n}, generators {len(gens[0])}")
+    return _cone_member(x, gens)
+
+
+def _cone_member(x, gens) -> bool:
+    """cone_point_member on a checked point and checked generators of its
+    dimension, as the package's own callers hold them."""
+    n = len(x)
     if any(c < 0 for c in x):
         return False
     for g in gens:

@@ -22,13 +22,16 @@ Everything else is read off the rays and their zero sets:
   the vertices of their zero set as incidence;
 * the cone over a compact facet is cut by a pulling triangulation of
   the facet, whose faces are the maximal intersections of its vertex
-  set with the zero sets of the other rays, and its volume is a sum of
-  integer determinants;
+  set with the zero sets of the other rays, and its volume is the int
+  sum of |int_det| over the simplices on the integer points, made one
+  Fraction by dividing by L^n n!;
 * the intercept on axis k is the least g_k over the generators that
   vanish off axis k.
 
 Covolume (the volume of the positive orthant minus the polyhedron) is
-the sum of the cone volumes over the compact facets.
+the sum of the cone volumes over the compact facets. The kernel is
+integer throughout, from the checked exponent set to one Fraction per
+output: the support of each facet and the volume of each facet cone.
 """
 
 from __future__ import annotations
@@ -37,13 +40,14 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 
 from .errors import InvalidInputError, NotPrimaryError
 
 # hyperplane_normal has no caller here but stays bound in this module:
 # perfbench/test_perfbench.py checks that its tracer wraps a geometry
 # function under every module name that binds it, this one included.
-from .geometry import det, dot, hyperplane_normal  # noqa: F401
+from .geometry import dot, hyperplane_normal, int_det  # noqa: F401
 from .rationals import exponent_set, integer_scaling, vector
 
 
@@ -82,7 +86,7 @@ def _dual_rays(points, n):
         bit = 1 << (d + j)
         pos, neg, kept = [], [], []
         for r, z in rays:
-            s = sum(a * b for a, b in zip(r, p)) - r[-1]
+            s = sum(map(mul, r, p)) - r[-1]
             if s > 0:
                 pos.append((r, z, s))
                 kept.append((r, z))
@@ -95,11 +99,13 @@ def _dual_rays(points, n):
             for rp, zp, sp in pos:
                 for rq, zq, sq in neg:
                     # Adjacent iff no third ray is tight on every inequality
-                    # tight on both (Fukuda & Prodon 1996).
+                    # tight on both (Fukuda & Prodon 1996). The two count
+                    # themselves, and distinct extreme rays have distinct
+                    # zero sets, so a third makes the count exceed 2.
                     common = zp & zq
-                    if common.bit_count() < d - 2 or any(
-                        z & common == common and z != zp and z != zq for z in zs
-                    ):
+                    if common.bit_count() < d - 2 or sum(
+                        z & common == common for z in zs
+                    ) > 2:
                         continue
                     r = tuple(sp * b - sq * a for a, b in zip(rp, rq))
                     g = math.gcd(*r)
@@ -212,15 +218,15 @@ class NewtonPolyhedron:
         ids = self._vertex_ids
         on_vertices = sum(1 << j for j in ids)
         cuts = [tight & on_vertices for _, tight in self._rays]
+        points = self._points
         denominator = self._scale**n * math.factorial(n)
         volumes = []
         for f in self.compact_facets:
             face = sum(1 << ids[i] for i in f.vertex_indices)
             total = sum(
-                (abs(det([self._points[j] for j in _bits(s)])) for s in _pull(face, n - 1, cuts)),
-                Fraction(0),
+                abs(int_det([points[j] for j in _bits(s)])) for s in _pull(face, n - 1, cuts)
             )
-            volumes.append(total / denominator)
+            volumes.append(Fraction(total, denominator))
         return tuple(volumes)
 
     def covolume(self) -> Fraction:

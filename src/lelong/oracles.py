@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import InvalidInputError, NotPrimaryError
-from .geometry import cone_point_member
+from .geometry import _cone_member
 from .ideals import PrimaryMonomialIdeal
 from .newton import NewtonPolyhedron
 from .rationals import exponent_set, positive_direction
@@ -73,10 +73,11 @@ class McEstimate:
 def covolume_monte_carlo(poly: NewtonPolyhedron, samples: int, seed: int) -> McEstimate:
     """Estimate the covolume by uniform sampling in the intercept box.
 
-    Membership of each (exactly rationalized) sample is decided by
-    cone_point_member, so the indicator itself is exact; only the
-    estimate is statistical. Deterministic per (seed, samples) thanks to
-    the counter-based Philox generator.
+    Membership of each (exactly rationalized) sample is decided by the
+    exact core of cone_point_member on the checked vertices, so the
+    indicator itself is exact; only the estimate is statistical.
+    Deterministic per (seed, samples) thanks to the counter-based Philox
+    generator.
     """
     import numpy as np
 
@@ -91,7 +92,7 @@ def covolume_monte_carlo(poly: NewtonPolyhedron, samples: int, seed: int) -> McE
     verts = poly.vertices
     for row in u:
         x = tuple(Fraction(float(c)) * m for c, m in zip(row, box))
-        if not cone_point_member(x, verts):
+        if not _cone_member(x, verts):
             outside += 1
     box_volume = float(math.prod(box))
     p = outside / samples

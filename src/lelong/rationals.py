@@ -110,12 +110,16 @@ def exponent_set(vectors) -> tuple[tuple[Fraction, ...], ...]:
     """
     if type(vectors) is _ExponentSet:
         return vectors
-    vecs = sorted({exponent_vector(v) for v in vectors})
+    vecs = [exponent_vector(v) for v in vectors]
     if not vecs:
         raise InvalidInputError("at least one generator is required")
     if len({len(v) for v in vecs}) != 1:
         raise InvalidInputError("generators mix dimensions")
-    return _ExponentSet(vecs)
+    # Scaling by L > 0 is injective and keeps the order, so the integer
+    # points L*v dedupe and sort the set as the vectors themselves would.
+    _, points = integer_scaling(vecs)
+    unique = dict(zip(points, vecs))
+    return _ExponentSet(unique[p] for p in sorted(unique))
 
 
 def integer_scaling(vectors) -> tuple[int, tuple[tuple[int, ...], ...]]:

@@ -16,9 +16,13 @@ exponent set:
 
 Generators are checked once, when an object is built from outside data;
 the polyhedron, the extremal direction's weight and the aggregates run on
-the checked set. The aggregates read each atom -w/h as its integer
-facet normal w and support h and each u on its integer points, so an atom
-costs integer dot products and one division.
+the checked set. The work is integer throughout, with one Fraction per
+output. Each atom's vertex coordinate -w_k/h is built from the integer
+facet normal w and the support h without a division. The aggregates of
+u read each atom as (w, h) and u on its integer points, so an atom
+costs integer dot products and one Fraction. The axis aggregates bring
+the ratios mass/h of all atoms to one common denominator Q, so each axis
+is one integer sum over Q.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 
 from .errors import InvalidInputError, NotPrimaryError
 from .geometry import dot
@@ -156,7 +161,8 @@ class MonomialWeight(HomogeneousPsh):
         poly = self.polyhedron
         atoms = []
         for facet, vol in zip(poly.compact_facets, poly._facet_cone_volumes):
-            t = tuple(Fraction(-c) / facet.support for c in facet.normal)
+            h = facet.support
+            t = tuple(Fraction(-c * h.denominator, h.numerator) for c in facet.normal)
             atoms.append(LelongAtom(t, nfact * vol))
         return LelongMeasure(tuple(atoms))
 
@@ -169,11 +175,18 @@ class MonomialWeight(HomogeneousPsh):
     @cached_property
     def _axis_aggregates(self) -> tuple[Fraction, ...]:
         """Per axis k, the sum over atoms of mass * -t_k: the aggregate of
-        the axis probe e_k against the measure."""
-        atoms = self.lelong_measure().atoms
+        the axis probe e_k against the measure.
+
+        The atom of a facet with integer normal w and support h has
+        -t_k = w_k / h, so with the ratios mass / h brought to integers c
+        over one common denominator Q, axis k is sum c * w_k over Q.
+        """
+        facets = self.polyhedron.compact_facets
+        ratios = [atom.mass / f.support for atom, f in zip(self.lelong_measure().atoms, facets)]
+        common, (coefficients,) = integer_scaling([ratios])
         return tuple(
-            sum((atom.mass * -atom.vertex[k] for atom in atoms), Fraction(0))
-            for k in range(self.dimension)
+            Fraction(sum(map(mul, coefficients, column)), common)
+            for column in zip(*(f.normal for f in facets))
         )
 
     def extremal_direction(self) -> "DirectionalWeight":

@@ -1,20 +1,81 @@
 """Exact geometry: determinants, volumes, cone membership, and LP feasibility."""
 
+import math
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lelong.errors import InvalidInputError
 from lelong.geometry import (
     cone_point_member,
     det,
+    int_det,
     polytope_volume,
     simplex_volume,
 )
 from lelong.linprog import feasible
 
 from support import ASTAR
+
+
+def leibniz(rows):
+    """Determinant as the signed sum over permutations."""
+    n = len(rows)
+    total = 0
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        total += (-1) ** inversions * math.prod(rows[i][perm[i]] for i in range(n))
+    return total
+
+
+@st.composite
+def square_matrices(draw, entries=st.integers(-9, 9)):
+    """Square matrices of size 1..6: unconstrained, with a zero leading
+    minor of some order k (so elimination meets a zero pivot at step k
+    and must swap rows), or singular (one row a multiple of another, or
+    a zero row)."""
+    n = draw(st.integers(1, 6))
+    rows = [draw(st.lists(entries, min_size=n, max_size=n)) for _ in range(n)]
+    shape = draw(st.sampled_from(("any", "zero_pivot", "singular")))
+    if shape == "zero_pivot" and n > 1:
+        k = draw(st.integers(0, n - 2))
+        if k == 0:
+            rows[0][0] = 0
+        else:
+            rows[k][: k + 1] = rows[0][: k + 1]
+    elif shape == "singular":
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        c = draw(entries)
+        rows[j] = [c * x for x in rows[i]] if i != j else [0] * n
+    return rows
+
+
+class TestIntDet:
+    @settings(max_examples=300, deadline=None)
+    @given(square_matrices())
+    def test_matches_leibniz(self, rows):
+        got = int_det(rows)
+        assert type(got) is int and got == leibniz(rows)
+
+    @settings(max_examples=60, deadline=None)
+    @given(square_matrices(st.fractions(min_value=-9, max_value=9, max_denominator=6)))
+    def test_det_on_rational_rows_matches_leibniz(self, rows):
+        got = det(rows)
+        assert type(got) is Fraction and got == leibniz(rows)
+
+    def test_zero_pivots_are_swapped(self):
+        assert int_det([[0, 1], [1, 0]]) == -1
+        assert int_det([[0, 2, 1], [0, 1, 1], [3, 0, 0]]) == 3
+        # Leading 2x2 minor zero: the pivot of the second step is zero.
+        assert int_det([[1, 2, 0], [2, 4, 1], [0, 1, 1]]) == -1
+        assert int_det([[0, 0], [1, 2]]) == 0
+
+    def test_empty_matrix(self):
+        assert int_det([]) == 1 and det([]) == 1
 
 
 class TestDet:

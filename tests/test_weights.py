@@ -88,6 +88,25 @@ def test_plain_tuple_is_checked_in_full(cls):
         cls(mixed)
 
 
+def test_exponent_set_dedupes_and_sorts_across_denominators():
+    half = ["1/2", "2/4", Fraction(1, 2)]
+    vectors = [(h, "3/6") for h in half] + [(1, "1/3"), ("6/4", 0), ("3/2", "0/5"), (0, 2)]
+    got = exponent_set(vectors)
+    assert got == ((0, 2), (Fraction(1, 2), Fraction(1, 2)), (1, Fraction(1, 3)), (Fraction(3, 2), 0))
+    parsed = [tuple(Fraction(c) for c in v) for v in vectors]
+    assert got == tuple(sorted(set(parsed)))
+    assert _all_fractions(got)
+    rng = random.Random(41)
+    for _ in range(50):
+        n = rng.randint(2, 6)
+        vecs = [
+            tuple(Fraction(rng.randint(0, 6), rng.randint(1, 4)) for _ in range(n))
+            for _ in range(rng.randint(1, 12))
+        ]
+        vecs += rng.sample(vecs, rng.randint(0, len(vecs)))
+        assert exponent_set([tuple(map(str, v)) for v in vecs]) == tuple(sorted(set(vecs)))
+
+
 def test_checked_set_is_returned_as_is():
     checked = exponent_set(ASTAR)
     assert exponent_set(checked) is checked
@@ -251,21 +270,43 @@ def _aggregates_by_directional_numbers(u, phi):
     return total, total / phi.residual_mass(), min(nu for _, nu in numbers)
 
 
+def _rational_weight(rng, n):
+    """A random_weight with each entry divided by a random rational, so
+    its facet supports and atom masses have denominators."""
+    gens = random_weight(rng, n, max_exp=16).generators
+    return MonomialWeight([
+        tuple(c / Fraction(rng.randint(1, 9), rng.randint(1, 9)) for c in g) for g in gens
+    ])
+
+
 @pytest.mark.parametrize("n", range(2, 7))
 def test_aggregates_match_directional_numbers(n):
-    rng = random.Random(30 + n)
+    # Beside each integer weight, a weight with rational generators from
+    # a second stream, so facet supports and masses have denominators.
+    rng, qrng = random.Random(30 + n), random.Random(60 + n)
     nonflat = scaled = 0
     for _ in range(15):
         phi = random_weight(rng, n, max_exp=16)
         nonflat += not phi.is_flat()
+        weights = (phi, _rational_weight(qrng, n))
+        for w in weights:
+            # The extremal direction is the axis aggregates over the
+            # residual mass; here each is taken atom by atom through the
+            # public directional number.
+            axes = [
+                _aggregates_by_directional_numbers(HomogeneousPsh([unit(n, k)]), w)[1]
+                for k in range(n)
+            ]
+            assert w.extremal_direction().direction == tuple(axes)
         for u in (random_psh(rng, n), DirectionalWeight(random_direction(rng, n))):
             scaled += any(c.denominator > 1 for g in u.generators for c in g)
-            got = (
-                generalized_lelong(u, phi),
-                generalized_lelong(u, phi, normalized=True),
-                relative_type(u, phi),
-            )
-            assert got == _aggregates_by_directional_numbers(u, phi)
+            for w in weights:
+                got = (
+                    generalized_lelong(u, w),
+                    generalized_lelong(u, w, normalized=True),
+                    relative_type(u, w),
+                )
+                assert got == _aggregates_by_directional_numbers(u, w)
     assert nonflat > 0 and scaled > 0
 
 
