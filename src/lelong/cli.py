@@ -62,22 +62,6 @@ def _load_document(path):
     return out
 
 
-def _load_psh(path) -> HomogeneousPsh:
-    return HomogeneousPsh(_load_document(path))
-
-
-def _load_weight(path) -> MonomialWeight:
-    return MonomialWeight(_load_document(path))
-
-
-def _load_ideal(path) -> MonomialIdeal:
-    return MonomialIdeal(_load_document(path))
-
-
-def _load_primary(path) -> PrimaryMonomialIdeal:
-    return PrimaryMonomialIdeal(_load_document(path))
-
-
 def _rats(values):
     return [format_rational(v) for v in values]
 
@@ -90,17 +74,17 @@ def _parse_direction(text):
 
 
 def _cmd_mass(args):
-    phi = _load_weight(args.file)
+    phi = MonomialWeight(_load_document(args.file))
     return {"tau": format_rational(phi.residual_mass())}
 
 
 def _cmd_dir_lelong(args):
-    u = _load_psh(args.file)
+    u = HomogeneousPsh(_load_document(args.file))
     return {"nu": format_rational(u.directional_lelong(_parse_direction(args.a)))}
 
 
 def _cmd_gamma(args):
-    phi = _load_weight(args.file)
+    phi = MonomialWeight(_load_document(args.file))
     measure = phi.lelong_measure()
     atoms = [
         {"t": _rats(atom.vertex), "mass": format_rational(atom.mass)}
@@ -110,26 +94,26 @@ def _cmd_gamma(args):
 
 
 def _cmd_lelong(args):
-    u = _load_psh(args.ufile)
-    phi = _load_weight(args.phifile)
+    u = HomogeneousPsh(_load_document(args.ufile))
+    phi = MonomialWeight(_load_document(args.phifile))
     if args.normalized:
         return {"nu_tilde": format_rational(generalized_lelong(u, phi, normalized=True))}
     return {"nu": format_rational(generalized_lelong(u, phi))}
 
 
 def _cmd_type(args):
-    u = _load_psh(args.ufile)
-    phi = _load_weight(args.phifile)
+    u = HomogeneousPsh(_load_document(args.ufile))
+    phi = MonomialWeight(_load_document(args.phifile))
     return {"sigma": format_rational(relative_type(u, phi))}
 
 
 def _cmd_extremal(args):
-    phi = _load_weight(args.file)
+    phi = MonomialWeight(_load_document(args.file))
     return {"a": _rats(phi.extremal_direction().direction), "flat": phi.is_flat()}
 
 
 def _cmd_flat(args):
-    phi = _load_weight(args.file)
+    phi = MonomialWeight(_load_document(args.file))
     if phi.is_flat():
         return {"flat": True}
     witness = phi.flatness_witness()
@@ -137,8 +121,8 @@ def _cmd_flat(args):
 
 
 def _cmd_mixed(args):
-    j = _load_ideal(args.jfile)
-    i = _load_primary(args.ifile)
+    j = MonomialIdeal(_load_document(args.jfile))
+    i = PrimaryMonomialIdeal(_load_document(args.ifile))
     payload = {"e": format_rational(mixed_multiplicity(j, i))}
     if args.oracle == "polarization":
         from .oracles import mixed_multiplicity_polarization
@@ -151,8 +135,8 @@ def _cmd_mixed(args):
 def _cmd_contain(args):
     if args.p < 1:
         raise InvalidInputError("p must be a positive integer")
-    j = _load_ideal(args.jfile)
-    i = _load_primary(args.ifile)
+    j = MonomialIdeal(_load_document(args.jfile))
+    i = PrimaryMonomialIdeal(_load_document(args.ifile))
     report = closure_containment_check(j, i, args.p)
     return {
         "p": report.p,
@@ -176,12 +160,12 @@ def _cmd_contain(args):
 
 
 def _cmd_loj(args):
-    phi = _load_weight(args.file)
+    phi = MonomialWeight(_load_document(args.file))
     return {"L": format_rational(phi.lojasiewicz_exponent())}
 
 
 def _cmd_plot(args):
-    phi = _load_weight(args.file)
+    phi = MonomialWeight(_load_document(args.file))
     svg = render_weight_svg(phi)
     try:
         with open(args.output, "w", encoding="utf-8") as fh:

@@ -5,7 +5,9 @@ containing a pure power of every variable has finite colength and its
 multiplicity theory is carried entirely by the weight max_j log|z^(g_j)|.
 Mixed multiplicities are computed through the measure aggregation path
 (one code path, verified independently by the Minkowski polarization
-oracle).
+oracle). An ideal builds its psh and weight on its checked exponent
+set, whose integer points (lcm L = 1) are its int generators and whose
+intercepts its pure-power check reads.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import InvalidInputError, NotPrimaryError
-from .newton import pure_power_intercepts
 from .weights import HomogeneousPsh, MonomialWeight, generalized_lelong
 from .rationals import exponent_set
 
@@ -31,14 +32,12 @@ class MonomialIdeal:
     """Finite set of integer exponent vectors, deduplicated and sorted."""
 
     def __init__(self, generators):
-        vecs = exponent_set(generators)
-        for v in vecs:
-            if any(c.denominator != 1 for c in v):
-                raise InvalidInputError(f"ideal exponents must be integers, got {v}")
+        vecs = self._exponents = exponent_set(generators)
+        if vecs.scale != 1:
+            v = next(v for v in vecs if any(c.denominator != 1 for c in v))
+            raise InvalidInputError(f"ideal exponents must be integers, got {v}")
         self.dimension = len(vecs[0])
-        self.generators = tuple(tuple(int(c) for c in v) for v in vecs)
-        # The checked Fraction set, which the psh and the weight are built on.
-        self._exponents = vecs
+        self.generators = vecs.points
 
     @cached_property
     def psh(self) -> HomogeneousPsh:
@@ -53,7 +52,7 @@ class PrimaryMonomialIdeal(MonomialIdeal):
 
     def __init__(self, generators):
         super().__init__(generators)
-        intercepts = pure_power_intercepts(self.generators)
+        intercepts = self._exponents.intercepts
         if 0 in intercepts:
             raise NotPrimaryError("the ideal contains a unit")
         if math.inf in intercepts:

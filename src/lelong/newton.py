@@ -1,7 +1,8 @@
 """Newton polyhedra conv(A) + R_+^n from one exact integer hull.
 
-The exponent set is scaled once to integer points p_j by the lcm L of
-its denominators. The hull is the cone of valid inequalities
+The hull runs on the integer points p_j that the checked exponent set
+carries, the set scaled by the lcm L of its denominators. It is the
+cone of valid inequalities
 
     C = {(w, t) in Z^(n+1) : w >= 0, t >= 0, <w, p_j> >= t for all j},
 
@@ -25,8 +26,8 @@ Everything else is read off the rays and their zero sets:
   set with the zero sets of the other rays, and its volume is the int
   sum of |int_det| over the simplices on the integer points, made one
   Fraction by dividing by L^n n!;
-* the intercept on axis k is the least g_k over the generators that
-  vanish off axis k.
+* the intercept on axis k, the least g_k over the generators that
+  vanish off axis k, is read off the checked set, which computes it once.
 
 Covolume (the volume of the positive orthant minus the polyhedron) is
 the sum of the cone volumes over the compact facets. The kernel is
@@ -48,7 +49,7 @@ from .errors import InvalidInputError, NotPrimaryError
 # perfbench/test_perfbench.py checks that its tracer wraps a geometry
 # function under every module name that binds it, this one included.
 from .geometry import dot, hyperplane_normal, int_det  # noqa: F401
-from .rationals import exponent_set, integer_scaling, vector
+from .rationals import exponent_set, vector
 
 
 @dataclass(frozen=True)
@@ -135,32 +136,12 @@ def _pull(face, dim, cuts):
     ]
 
 
-def pure_power_intercepts(generators):
-    """Per axis k, the least g_k over the generators that vanish off axis
-    k, or math.inf when there is none.
-
-    This is the intercept of conv(generators) + R_+^n on axis k. A 0
-    entry means the zero vector is a generator; an inf entry means no
-    pure power lies on that axis.
-    """
-    least = [math.inf] * len(generators[0])
-    for g in generators:
-        axes = [k for k, c in enumerate(g) if c]
-        if not axes:
-            return tuple(g)
-        if len(axes) == 1:
-            k = axes[0]
-            least[k] = min(least[k], g[k])
-    return tuple(least)
-
-
 class NewtonPolyhedron:
     """conv(generators) + positive orthant. Treat instances as immutable."""
 
     def __init__(self, generators):
         gens = self.generators = exponent_set(generators)
         self.dimension = len(gens[0])
-        self._scale, self._points = integer_scaling(gens)
         self._rays = self._enumerate_facets()
         self._vertex_ids = self._minimal_vertices()
         self.vertices = tuple(gens[j] for j in self._vertex_ids)
@@ -169,12 +150,12 @@ class NewtonPolyhedron:
     def _enumerate_facets(self):
         """Every extreme ray of C as (ray, mask of the generators it is tight on)."""
         shift = self.dimension + 1
-        return tuple((r, z >> shift) for r, z in _dual_rays(self._points, self.dimension))
+        return tuple((r, z >> shift) for r, z in _dual_rays(self.generators.points, self.dimension))
 
     def _minimal_vertices(self):
         """Indices of the generators that are vertices: those whose mask of
         tight rays (bit i for ray i) is not a proper subset of another's."""
-        masks = [0] * len(self._points)
+        masks = [0] * len(self.generators)
         for i, (_, tight) in enumerate(self._rays):
             for j in _bits(tight):
                 masks[j] |= 1 << i
@@ -197,7 +178,7 @@ class NewtonPolyhedron:
             facets.append(
                 Facet(
                     tuple(c // g for c in w),
-                    Fraction(r[-1], self._scale * g),
+                    Fraction(r[-1], self.generators.scale * g),
                     tuple(position[j] for j in _bits(tight) if j in position),
                 )
             )
@@ -210,7 +191,7 @@ class NewtonPolyhedron:
     @cached_property
     def axis_intercepts(self):
         """Per axis k, the least c with c*e_k in the polyhedron."""
-        return pure_power_intercepts(self.generators)
+        return self.generators.intercepts
 
     @cached_property
     def _facet_cone_volumes(self):
@@ -218,8 +199,8 @@ class NewtonPolyhedron:
         ids = self._vertex_ids
         on_vertices = sum(1 << j for j in ids)
         cuts = [tight & on_vertices for _, tight in self._rays]
-        points = self._points
-        denominator = self._scale**n * math.factorial(n)
+        points = self.generators.points
+        denominator = self.generators.scale**n * math.factorial(n)
         volumes = []
         for f in self.compact_facets:
             face = sum(1 << ids[i] for i in f.vertex_indices)

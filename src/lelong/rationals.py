@@ -13,7 +13,9 @@ input and returns the set as a private tuple subclass; handed back in,
 that set is returned as is, so objects derived from a checked set
 (polyhedra, weights of ideals, the psh of an ideal) run on the trusted
 set without parsing it again. Any other input, an equal plain tuple
-included, is checked in full.
+included, is checked in full. The checked set also carries what its
+generators alone determine (the lcm of the denominators, the integer
+points and the pure-power intercepts), so each is derived once per set.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import InvalidInputError
 
@@ -97,13 +100,34 @@ def positive_direction(coords, dimension: int | None = None) -> tuple[Fraction, 
 class _ExponentSet(tuple):
     """An exponent set that ``exponent_set`` has checked: Fraction vectors,
     nonnegative, deduplicated, sorted, nonempty, of one dimension in
-    MIN_DIMENSION..MAX_DIMENSION. Build one only from vectors that already
-    meet all of this."""
+    MIN_DIMENSION..MAX_DIMENSION. It carries ``scale``, the lcm L of the
+    denominators, ``points``, the integer points L*v in set order, and
+    ``intercepts``."""
 
-    __slots__ = ()
+    scale: int
+    points: tuple[tuple[int, ...], ...]
+
+    @cached_property
+    def intercepts(self):
+        """Per axis k, the least g_k over the generators that vanish off
+        axis k, or math.inf when there is none.
+
+        This is the intercept of conv(generators) + R_+^n on axis k. A 0
+        entry means the zero vector is a generator; an inf entry means no
+        pure power lies on that axis.
+        """
+        least = [math.inf] * len(self[0])
+        for g in self:
+            axes = [k for k, c in enumerate(g) if c]
+            if not axes:
+                return tuple(g)
+            if len(axes) == 1:
+                k = axes[0]
+                least[k] = min(least[k], g[k])
+        return tuple(least)
 
 
-def exponent_set(vectors) -> tuple[tuple[Fraction, ...], ...]:
+def exponent_set(vectors) -> _ExponentSet:
     """Exponent vectors deduplicated and sorted; nonempty, one dimension.
 
     A set this function returned is returned as is.
@@ -116,10 +140,15 @@ def exponent_set(vectors) -> tuple[tuple[Fraction, ...], ...]:
     if len({len(v) for v in vecs}) != 1:
         raise InvalidInputError("generators mix dimensions")
     # Scaling by L > 0 is injective and keeps the order, so the integer
-    # points L*v dedupe and sort the set as the vectors themselves would.
-    _, points = integer_scaling(vecs)
+    # points L*v dedupe and sort the set as the vectors themselves would,
+    # and dropping duplicates keeps the set of denominators, hence L.
+    scale, points = integer_scaling(vecs)
     unique = dict(zip(points, vecs))
-    return _ExponentSet(unique[p] for p in sorted(unique))
+    order = sorted(unique)
+    checked = _ExponentSet(unique[p] for p in order)
+    checked.scale = scale
+    checked.points = tuple(order)
+    return checked
 
 
 def integer_scaling(vectors) -> tuple[int, tuple[tuple[int, ...], ...]]:

@@ -6,6 +6,10 @@ from .errors import InvalidInputError
 from .rationals import format_rational
 from .weights import MonomialWeight
 
+# The largest coordinate drawn: up to it, every float the picture
+# computes (the sum of two coordinates included) stays finite.
+_MAX_COORDINATE = 2**1020
+
 
 def _fmt(x: float) -> str:
     return f"{x:.4f}".rstrip("0").rstrip(".")
@@ -16,6 +20,8 @@ def render_weight_svg(phi: MonomialWeight) -> str:
     measure atoms, on a viewBox spanning [0, max intercept + 1] squared."""
     if phi.dimension != 2:
         raise InvalidInputError("SVG rendering supports dimension 2 only")
+    if max(map(max, phi.generators)) > _MAX_COORDINATE:
+        raise InvalidInputError("SVG rendering needs coordinates of at most 2**1020")
     poly = phi.polyhedron
     side = float(max(poly.axis_intercepts)) + 1.0
 

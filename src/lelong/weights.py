@@ -14,15 +14,17 @@ exponent set:
 * relative types, flatness, the extremal simplicial direction, and the
   Lojasiewicz exponent.
 
-Generators are checked once, when an object is built from outside data;
-the polyhedron, the extremal direction's weight and the aggregates run on
-the checked set. The work is integer throughout, with one Fraction per
-output. Each atom's vertex coordinate -w_k/h is built from the integer
-facet normal w and the support h without a division. The aggregates of
-u read each atom as (w, h) and u on its integer points, so an atom
-costs integer dot products and one Fraction. The axis aggregates bring
-the ratios mass/h of all atoms to one common denominator Q, so each axis
-is one integer sum over Q.
+Generators are checked once, when an object is built from outside data,
+and the polyhedron, the extremal direction's weight and the aggregates
+run on the checked set: the pure-power check reads the set's intercepts
+and the aggregates its integer points, so neither is derived again. The
+work is integer throughout, with one Fraction per output. Each atom's
+vertex coordinate -w_k/h is built from the integer facet normal w and
+the support h without a division. The aggregates of u read each atom as
+(w, h) and u on its integer points, so an atom costs integer dot
+products and one Fraction. The axis aggregates bring the ratios mass/h
+of all atoms to one common denominator Q, so each axis is one integer
+sum over Q.
 """
 
 from __future__ import annotations
@@ -35,14 +37,8 @@ from operator import mul
 
 from .errors import InvalidInputError, NotPrimaryError
 from .geometry import dot
-from .newton import NewtonPolyhedron, pure_power_intercepts
-from .rationals import (
-    _ExponentSet,
-    exponent_set,
-    integer_scaling,
-    parse_rational,
-    positive_direction,
-)
+from .newton import NewtonPolyhedron
+from .rationals import exponent_set, integer_scaling, parse_rational, positive_direction
 
 NEG_INFINITY = float("-inf")
 
@@ -61,11 +57,6 @@ class HomogeneousPsh:
     @cached_property
     def polyhedron(self) -> NewtonPolyhedron:
         return NewtonPolyhedron(self.generators)
-
-    @cached_property
-    def _integer_points(self):
-        """The lcm L of the generators' denominators and the points L*b_j."""
-        return integer_scaling(self.generators)
 
     def evaluate(self, t):
         """max_j <b_j, t> for t in the closed negative orthant.
@@ -141,7 +132,7 @@ class MonomialWeight(HomogeneousPsh):
 
     def __init__(self, generators):
         super().__init__(generators)
-        intercepts = pure_power_intercepts(self.generators)
+        intercepts = self.generators.intercepts
         if 0 in intercepts:
             raise NotPrimaryError("a zero exponent vector forces zero residual mass")
         if math.inf in intercepts:
@@ -237,13 +228,9 @@ class DirectionalWeight(MonomialWeight):
     def __init__(self, direction):
         d = self.direction = positive_direction(direction)
         n = len(d)
-        # A valid direction makes the n vectors e_k / a_k a checked set;
-        # listed from k = n - 1 down to 0 they are already sorted.
-        gens = _ExponentSet(
-            tuple(1 / d[k] if i == k else Fraction(0) for i in range(n))
-            for k in reversed(range(n))
+        super().__init__(
+            exponent_set(tuple(1 / d[k] if i == k else 0 for i in range(n)) for k in range(n))
         )
-        super().__init__(gens)
 
 
 def _check_pair(u: HomogeneousPsh, phi: MonomialWeight):
@@ -264,7 +251,7 @@ def _atom_numbers(u: HomogeneousPsh, phi: MonomialWeight) -> list[Fraction]:
     L of their denominators, its number is min_j <P_j, w> / (L h).
     """
     _check_pair(u, phi)
-    scale, points = u._integer_points
+    scale, points = u.generators.scale, u.generators.points
     numbers = []
     for facet in phi.polyhedron.compact_facets:
         least = min(sum(p * w for p, w in zip(point, facet.normal)) for point in points)

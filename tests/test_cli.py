@@ -174,6 +174,29 @@ class TestErrors:
         code, _, _ = run(capsys, "plot", str(path), "-o", str(tmp_path / "x.svg"))
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "generators",
+        [[[10**400, 0], [0, 1]], [[1, 0], [0, 1], [10**400, 10**400]]],
+        ids=["vertex", "non-vertex"],
+    )
+    def test_plot_coordinates_past_float_range(self, capsys, tmp_path, generators):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"n": 2, "generators": generators}))
+        target = tmp_path / "x.svg"
+        code, out, err = run(capsys, "plot", str(path), "-o", str(target))
+        assert code == 2
+        assert out == ""
+        assert err == "SVG rendering needs coordinates of at most 2**1020\n"
+        assert not target.exists()
+
+    def test_mixed_non_integer_ideal(self, capsys, tmp_path):
+        path = tmp_path / "half.json"
+        path.write_text(json.dumps({"n": 2, "generators": [[2, "1/3"], [1, "1/2"], [3, 0]]}))
+        code, out, err = run(capsys, "mixed", str(path), PHI_STAR)
+        assert code == 2
+        assert out == ""
+        assert err == "ideal exponents must be integers, got (Fraction(1, 1), Fraction(1, 2))\n"
+
     def test_contain_p_zero(self, capsys):
         code, _, err = run(capsys, "contain", J_Z1Z2, PHI_STAR, "-p", "0")
         assert code == 2

@@ -38,8 +38,30 @@ class TestConstruction:
         with pytest.raises(InvalidInputError):
             MonomialIdeal([(Fraction(1, 2), 1)])
 
+    @pytest.mark.parametrize("cls", [MonomialIdeal, PrimaryMonomialIdeal])
+    def test_non_integer_message_names_first_in_sorted_order(self, cls):
+        # Listed third, (0, 1/2) sorts first among the non-integer vectors.
+        gens = [(3, 0), (1, "1/3"), (0, "1/2"), (0, 2)]
+        with pytest.raises(InvalidInputError) as info:
+            cls(gens)
+        assert str(info.value) == (
+            "ideal exponents must be integers, got (Fraction(0, 1), Fraction(1, 2))"
+        )
+
     def test_duplicates_removed(self):
         assert MonomialIdeal([(1, 1), (1, 1), (2, 0)]).generators == ((1, 1), (2, 0))
+
+    @pytest.mark.parametrize("cls", [MonomialIdeal, PrimaryMonomialIdeal])
+    def test_generators_are_ints(self, cls):
+        # Fraction(2) == 2, so a comparison by value alone cannot tell.
+        ideal = cls([("4/2", 0), (Fraction(1), 1), (0, 3)])
+        assert ideal.generators == ((0, 3), (1, 1), (2, 0))
+        assert all(type(c) is int for g in ideal.generators for c in g)
+        rng = random.Random(17)
+        for n in range(2, 7):
+            for make in (random_ideal, random_primary_ideal):
+                gens = make(rng, n).generators
+                assert all(type(c) is int for g in gens for c in g)
 
     @pytest.mark.parametrize(
         "generators, message",

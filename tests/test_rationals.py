@@ -1,10 +1,15 @@
 """One input grammar for every public entry that takes coordinates or a
 direction: each coerces through ``lelong.rationals``, so each accepts and
-rejects exactly what ``parse_rational`` does."""
+rejects exactly what ``parse_rational`` does. And the checked exponent
+set: what it carries equals what its generators define."""
 
+import math
+import operator
+import random
 import subprocess
 import sys
 from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 
@@ -12,7 +17,7 @@ from lelong.errors import InvalidInputError
 from lelong.geometry import cone_point_member, polytope_volume, simplex_volume
 from lelong.newton import NewtonPolyhedron
 from lelong.oracles import directional_lelong_numeric, quasi_triangle_check
-from lelong.rationals import parse_rational
+from lelong.rationals import exponent_set, integer_scaling, parse_rational
 from lelong.weights import DirectionalWeight, MonomialWeight
 
 from support import ASTAR
@@ -110,3 +115,63 @@ def test_exponent_notation_exits_fast(code):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("not a valid rational: '")
+
+
+def _intercepts_by_definition(generators):
+    """Per axis k, the least c > 0 with c*e_k a generator, or inf; the
+    zero vector when it is a generator."""
+    n = len(generators[0])
+    if (0,) * n in generators:
+        return (0,) * n
+    return tuple(
+        min((g[k] for g in generators if g[k] and not any(g[:k] + g[k + 1 :])), default=math.inf)
+        for k in range(n)
+    )
+
+
+def _random_rational_set(rng, n):
+    def entry():
+        return Fraction(rng.randint(0, 9), rng.choice([1, 1, 2, 3, 4, 6]))
+
+    vecs = [tuple(entry() for _ in range(n)) for _ in range(rng.randint(1, 8))]
+    # Pure powers on a random subset of the axes, sometimes two on one.
+    for k in rng.sample(range(n), rng.randint(0, n)):
+        for _ in range(rng.randint(1, 2)):
+            vecs.append(tuple(entry() + 1 if i == k else Fraction(0) for i in range(n)))
+    if rng.random() < 0.15:
+        vecs.append((Fraction(0),) * n)
+    rng.shuffle(vecs)
+    return [tuple(map(str, v)) for v in vecs]
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_checked_set_carries_what_its_generators_define(n):
+    rng = random.Random(90 + n)
+    for _ in range(40):
+        checked = exponent_set(_random_rational_set(rng, n))
+        assert (checked.scale, checked.points) == integer_scaling(checked)
+        assert all(type(c) is int for p in checked.points for c in p)
+        assert checked.intercepts == _intercepts_by_definition(checked)
+        fields = checked.scale, checked.points, checked.intercepts
+        again = exponent_set(checked)
+        assert again is checked
+        assert all(map(operator.is_, (again.scale, again.points, again.intercepts), fields))
+
+
+@pytest.mark.parametrize(
+    "generators, intercepts",
+    [
+        ([(0, 0), (1, 0), (0, 1)], (0, 0)),
+        ([(1, 1), (0, 0)], (0, 0)),
+        ([(2, 0), (1, 1)], (2, math.inf)),
+        (
+            [("1/2", 0, 0), (0, 3, 0), (0, "5/2", 0), (1, 1, 1)],
+            (Fraction(1, 2), Fraction(5, 2), math.inf),
+        ),
+        ([(1, 1, 0), (0, 1, 1)], (math.inf,) * 3),
+    ],
+    ids=["zero-vector", "zero-vector-no-pure-power", "missing-axis", "least-on-axis", "none"],
+)
+def test_intercepts_edge_cases(generators, intercepts):
+    checked = exponent_set(generators)
+    assert checked.intercepts == intercepts == _intercepts_by_definition(checked)
