@@ -15,7 +15,7 @@ Minkowski polarization, direct liminf sampling) for verification.
 """
 
 from .errors import InvalidInputError, LelongError, NotPrimaryError
-from .geometry import cone_point_member, polytope_volume, simplex_volume
+from .geometry import cone_point_member
 from .newton import Facet, NewtonPolyhedron
 from .weights import (
     DirectionalWeight,
@@ -63,8 +63,6 @@ __all__ = [
     "generalized_lelong",
     "minimal_multiplicity",
     "mixed_multiplicity",
-    "polytope_volume",
     "relative_type",
     "samuel_multiplicity",
-    "simplex_volume",
 ]

@@ -1,29 +1,21 @@
-"""Exact geometric predicates and volumes.
+"""Exact geometric predicates.
 
-The module provides the exact determinant, simplex volumes, and
-membership in a Newton polyhedron, decided by exact LP feasibility. The
-one elimination routine is ``int_det``: Bareiss fraction-free
-elimination on integer rows, in ints from start to finish, which the
-facet-cone volumes call directly. ``det`` is its rational wrapper: it
-scales the whole matrix once to integers and makes one Fraction of the
-result. The public entries coerce their points with ``rationals.vector``,
-so they take the package's one rational grammar and dimensions 2..6;
-``int_det``, ``det``, ``dot`` and the other helpers work on exact values
-the package has already checked.
-
-``polytope_volume`` is the exact volume of the convex hull of a point
-set, computed by pyramid decomposition from a base vertex with
-brute-force supporting-hyperplane enumeration. No kernel path calls it:
-the Newton polyhedron kernel triangulates its own facets. It stays as
-an independent reference for the facet-cone volumes, and brute force
-is adequate at the small point sets it is used on.
+The module provides the exact determinant and membership in a Newton
+polyhedron, decided by exact LP feasibility. The one elimination
+routine is ``int_det``: Bareiss fraction-free elimination on integer
+rows, in ints from start to finish, which the facet-cone volumes call
+directly. ``det`` is its rational wrapper: it scales the whole matrix
+once to integers and makes one Fraction of the result.
+``cone_point_member`` coerces its point and generators with
+``rationals.vector``, so it takes the package's one rational grammar and
+dimensions 2..6; ``int_det``, ``det``, ``dot`` and the other helpers
+work on exact values the package has already checked. The brute-force
+volume reference for the facet-cone volumes is ``tests/reference.py``.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
-from itertools import combinations
 
 from .errors import InvalidInputError
 from .linprog import feasible
@@ -71,24 +63,6 @@ def det(rows) -> Fraction:
     return Fraction(int_det(ints), scale ** len(ints))
 
 
-def simplex_volume(points) -> Fraction:
-    """Volume of the simplex on n+1 points in dimension n.
-
-    Returns |det(p_1 - p_0, ..., p_n - p_0)| / n!; zero exactly when the
-    points are affinely dependent.
-    """
-    pts = [vector(p) for p in points]
-    if not pts:
-        raise InvalidInputError("empty simplex")
-    n = len(pts[0])
-    if any(len(p) != n for p in pts):
-        raise InvalidInputError("simplex mixes dimensions")
-    if len(pts) != n + 1:
-        raise InvalidInputError(f"need {n + 1} points in dimension {n}, got {len(pts)}")
-    d = det([vsub(p, pts[0]) for p in pts[1:]])
-    return abs(d) / math.factorial(n)
-
-
 def hyperplane_normal(points) -> tuple[Fraction, ...]:
     """Normal of the hyperplane spanned by d points in dimension d.
 
@@ -104,61 +78,6 @@ def hyperplane_normal(points) -> tuple[Fraction, ...]:
         cof = det(minor) if minor else Fraction(1)
         normal.append(cof if j % 2 == 0 else -cof)
     return tuple(normal)
-
-
-def scale_primitive(w, h):
-    """Rescale (w, h) so w has coprime integer entries; orientation kept."""
-    lcm = math.lcm(*(c.denominator for c in w))
-    ints = [int(c * lcm) for c in w]
-    g = math.gcd(*(abs(i) for i in ints))
-    return tuple(i // g for i in ints), Fraction(h) * Fraction(lcm, g)
-
-
-def _volume(pts, d) -> Fraction:
-    pts = sorted(set(pts))
-    if d == 1:
-        return pts[-1][0] - pts[0][0]
-    if len(pts) <= d:
-        return Fraction(0)
-    facets = {}
-    for subset in combinations(pts, d):
-        w = hyperplane_normal(subset)
-        if not any(w):
-            continue
-        h = dot(w, subset[0])
-        vals = [dot(w, p) for p in pts]
-        if all(v >= h for v in vals):
-            pass
-        elif all(v <= h for v in vals):
-            w = tuple(-c for c in w)
-            h = -h
-            vals = [-v for v in vals]
-        else:
-            continue
-        key = scale_primitive(w, h)
-        if key not in facets:
-            facets[key] = (w, h, [p for p, v in zip(pts, vals) if v == h])
-    base = pts[0]
-    total = Fraction(0)
-    for w, h, face in facets.values():
-        height = dot(w, base) - h
-        if height == 0:
-            continue
-        k = next(j for j, c in enumerate(w) if c)
-        proj = [p[:k] + p[k + 1 :] for p in face]
-        total += _volume(proj, d - 1) * height / (abs(w[k]) * d)
-    return total
-
-
-def polytope_volume(points) -> Fraction:
-    """Exact volume of conv(points); zero when not full-dimensional."""
-    pts = [vector(p) for p in points]
-    if not pts:
-        raise InvalidInputError("empty polytope")
-    n = len(pts[0])
-    if any(len(p) != n for p in pts):
-        raise InvalidInputError("polytope mixes dimensions")
-    return _volume(pts, n)
 
 
 def cone_point_member(point, generators) -> bool:

@@ -48,8 +48,8 @@ from .errors import InvalidInputError, NotPrimaryError
 # hyperplane_normal has no caller here but stays bound in this module:
 # perfbench/test_perfbench.py checks that its tracer wraps a geometry
 # function under every module name that binds it, this one included.
-from .geometry import dot, hyperplane_normal, int_det  # noqa: F401
-from .rationals import exponent_set, vector
+from .geometry import hyperplane_normal, int_det  # noqa: F401
+from .rationals import exponent_set
 
 
 @dataclass(frozen=True)
@@ -216,13 +216,6 @@ class NewtonPolyhedron:
             raise NotPrimaryError("covolume is infinite: some axis is never reached")
         return sum(self._facet_cone_volumes, Fraction(0))
 
-    def support_min(self, direction) -> Fraction:
-        """min over generators of <g, direction> for direction >= 0."""
-        w = vector(direction, self.dimension)
-        if any(c < 0 for c in w):
-            raise InvalidInputError("direction must be componentwise nonnegative")
-        return min(dot(g, w) for g in self.generators)
-
     def minkowski_sum(self, other: "NewtonPolyhedron") -> "NewtonPolyhedron":
         if self.dimension != other.dimension:
             raise InvalidInputError("Minkowski sum needs equal dimensions")
@@ -232,14 +225,6 @@ class NewtonPolyhedron:
             for q in other.vertices
         ]
         return NewtonPolyhedron(sums)
-
-    def __eq__(self, other):
-        if not isinstance(other, NewtonPolyhedron):
-            return NotImplemented
-        return self.dimension == other.dimension and self.vertices == other.vertices
-
-    def __hash__(self):
-        return hash((self.dimension, self.vertices))
 
     def __repr__(self):
         verts = ", ".join(str(tuple(map(str, v))) for v in self.vertices)

@@ -2,12 +2,13 @@
 
 Each oracle recomputes a kernel quantity by different means: an exact
 2-D staircase sum for covolumes, seeded Monte Carlo volume estimates,
-Minkowski-sum polarization for mixed multiplicities, direct liminf
-sampling for directional numbers and relative types, and a sampled
-quasi-triangle inequality for directional weights. Floating-point
-oracles report values and tolerances; they never feed back into exact
-results. Only the two sampled oracles use numpy, and they import it
-themselves, so importing this module (and the CLI) does not load it.
+polarization over ``NewtonPolyhedron.minkowski_sum`` for mixed
+multiplicities, direct liminf sampling for directional numbers and
+relative types, and a sampled quasi-triangle inequality for
+directional weights. Floating-point oracles report values and
+tolerances; they never feed back into exact results. Only the two
+sampled oracles use numpy, and they import it themselves, so importing
+this module (and the CLI) does not load it.
 """
 
 from __future__ import annotations
@@ -122,24 +123,24 @@ def mixed_multiplicity_polarization(
 ) -> Fraction:
     """Mixed multiplicity via dilated Minkowski sums.
 
-    Evaluates T(t) = n! covol(Gamma_i + t Gamma_j) at t = 0..n, takes
-    the exact slope of the degree-n polynomial at t = 0 from their
-    forward differences, and returns it over n. Entirely disjoint from
-    the measure aggregation path.
+    Evaluates T(t) = n! covol(Gamma_i + t Gamma_j) at t = 0..n, each sum
+    taken by ``NewtonPolyhedron.minkowski_sum`` of i's polyhedron and the
+    polyhedron on the dilated vertices t v of Gamma_j, takes the exact
+    slope of the degree-n polynomial at t = 0 from their forward
+    differences, and returns it over n. Entirely disjoint from the
+    measure aggregation path.
     """
     if not isinstance(j, PrimaryMonomialIdeal) or not isinstance(i, PrimaryMonomialIdeal):
         raise NotPrimaryError("polarization needs two primary ideals")
     if j.dimension != i.dimension:
         raise InvalidInputError("ideals have different dimensions")
     n = i.dimension
-    vi = NewtonPolyhedron(i.generators).vertices
-    vj = NewtonPolyhedron(j.generators).vertices
+    gamma_i = i.weight.polyhedron
+    vj = j.weight.polyhedron.vertices
     values = []
     for t in range(n + 1):
-        sums = [
-            tuple(a + t * b for a, b in zip(p, q)) for p in vi for q in vj
-        ]
-        values.append(math.factorial(n) * NewtonPolyhedron(sums).covolume())
+        t_gamma_j = NewtonPolyhedron([tuple(t * c for c in v) for v in vj])
+        values.append(math.factorial(n) * gamma_i.minkowski_sum(t_gamma_j).covolume())
     return _slope_at_zero(values) / n
 
 
@@ -213,6 +214,8 @@ def quasi_triangle_check(
     """
     import numpy as np
 
+    if samples < 1:
+        raise InvalidInputError("need at least 1 sample")
     a = positive_direction(direction)
     af = np.array([float(c) for c in a])
     n = len(a)

@@ -1,7 +1,10 @@
-"""Deterministic random instance generators shared by the test suite."""
+"""Deterministic instance generators and helpers shared by the test suite."""
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 from lelong.ideals import MonomialIdeal, PrimaryMonomialIdeal
@@ -10,9 +13,32 @@ from lelong.weights import HomogeneousPsh, MonomialWeight
 ASTAR = ((3, 0), (0, 3), (1, 1))
 """Shared worked example: the exponent set {(3,0), (0,3), (1,1)}."""
 
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def run_python(*args, **kwargs):
+    """subprocess.run of this interpreter with ``args``, and ``src`` first
+    on the child's PYTHONPATH (any value it had follows), so the child
+    imports this checkout's ``lelong`` without an install."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, env.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, *args], env=env, **kwargs)
+
 
 def unit(n, k, scale=1):
     return tuple(scale if i == k else 0 for i in range(n))
+
+
+def vertex_rich(n, m):
+    """Generators (s_1^2, ..., s_n^2) over the weak compositions s of m
+    into n parts; every one of them is a vertex."""
+
+    def compositions(m, n):
+        if n == 1:
+            return [(m,)]
+        return [(a, *rest) for a in range(m + 1) for rest in compositions(m - a, n - 1)]
+
+    return [tuple(s * s for s in c) for c in compositions(m, n)]
 
 
 def random_exponent(rng, n, max_exp):

@@ -12,8 +12,6 @@ failing test's message carries an explicit counterexample.
 
 import math
 import random
-import subprocess
-import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -44,6 +42,7 @@ from support import (
     random_primary_ideal,
     random_psh,
     random_weight,
+    run_python,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -269,9 +268,7 @@ def test_criterion_12_quasi_triangle():
 
 def test_criterion_13_cli_golden():
     def invoke(*argv):
-        return subprocess.run(
-            [sys.executable, "-m", "lelong.cli", *argv], capture_output=True
-        )
+        return run_python("-m", "lelong.cli", *argv, capture_output=True)
 
     lelong_proc = invoke("lelong", str(DATA / "u_z1.json"), str(DATA / "phi_star.json"))
     mass_proc = invoke("mass", str(DATA / "phi_star.json"))

@@ -1,8 +1,6 @@
 """Command-line interface: subcommands, exit codes, byte stability."""
 
 import json
-import subprocess
-import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,6 +8,8 @@ import pytest
 
 from lelong.cli import main
 from lelong.rationals import MAX_DIGITS, parse_rational
+
+from support import run_python
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
@@ -265,10 +265,7 @@ class TestStability:
 
 class TestGoldenSubprocess:
     def _invoke(self, *argv):
-        return subprocess.run(
-            [sys.executable, "-m", "lelong.cli", *argv],
-            capture_output=True,
-        )
+        return run_python("-m", "lelong.cli", *argv, capture_output=True)
 
     def test_lelong_golden(self):
         proc = self._invoke("lelong", U_Z1, PHI_STAR)
@@ -287,7 +284,7 @@ class TestGoldenSubprocess:
 
     def test_import_leaves_numpy_unloaded(self):
         code = "import sys, lelong.cli; print('numpy' in sys.modules, 'lelong.oracles' in sys.modules)"
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        proc = run_python("-c", code, capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "False False\n"
 
@@ -296,8 +293,6 @@ class TestGoldenSubprocess:
         path = tmp_path / "exp.json"
         path.write_text('{"n": 2, "generators": [["1e999999999", 0], [0, 1]]}')
         for argv in (["mass", str(path)], ["dir-lelong", PHI_STAR, "--a", "1e999999999,1"]):
-            proc = subprocess.run(
-                [sys.executable, "-m", "lelong.cli", *argv], capture_output=True, timeout=20
-            )
+            proc = run_python("-m", "lelong.cli", *argv, capture_output=True, timeout=20)
             assert proc.returncode == 2
             assert proc.stderr.count(b"\n") == 1

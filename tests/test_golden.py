@@ -54,18 +54,11 @@ def invariants(case):
     return out
 
 
-def _compositions(m, n):
-    if n == 1:
-        return [(m,)]
-    return [(a, *rest) for a in range(m + 1) for rest in _compositions(m - a, n - 1)]
-
-
 def _inputs():
-    from support import random_direction, random_primary_ideal, random_weight
+    from support import random_direction, random_primary_ideal, random_weight, vertex_rich
 
     cases = [
-        {"kind": "ideal", "name": f"vertex_rich_{n}_{m}",
-         "input": [[s * s for s in c] for c in _compositions(m, n)]}
+        {"kind": "ideal", "name": f"vertex_rich_{n}_{m}", "input": vertex_rich(n, m)}
         for n, m in VERTEX_RICH
     ]
     rng = random.Random(2009)

@@ -9,12 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lelong.errors import InvalidInputError, NotPrimaryError
-from lelong.geometry import cone_point_member, polytope_volume
+from lelong.geometry import cone_point_member
 from lelong.newton import NewtonPolyhedron
 from lelong.oracles import covolume_staircase_2d
 from lelong.weights import MonomialWeight
 
-from support import ASTAR, random_weight, unit
+from reference import polytope_volume
+from support import ASTAR, random_weight, unit, vertex_rich
 
 
 def F(*args):
@@ -142,33 +143,6 @@ class TestAxisIntercepts:
         assert NewtonPolyhedron([(0, 0), (1, 2)]).axis_intercepts == (0, 0)
 
 
-class TestSupportMin:
-    def test_astar_values(self):
-        poly = NewtonPolyhedron(ASTAR)
-        assert poly.support_min((1, 1)) == 2
-        assert poly.support_min((1, 2)) == 3
-
-    def test_maximal_ideal(self):
-        poly = NewtonPolyhedron([(1, 0), (0, 1)])
-        assert poly.support_min((Fraction(2, 3), 5)) == Fraction(2, 3)
-
-    def test_negative_direction_rejected(self):
-        with pytest.raises(InvalidInputError):
-            NewtonPolyhedron(ASTAR).support_min((1, -1))
-
-    def test_homogeneous_and_superadditive(self):
-        rng = random.Random(21)
-        for _ in range(30):
-            n = rng.choice((2, 3))
-            poly = random_weight(rng, n, max_exp=7).polyhedron
-            w1 = tuple(Fraction(rng.randint(0, 6), rng.randint(1, 3)) for _ in range(n))
-            w2 = tuple(Fraction(rng.randint(0, 6), rng.randint(1, 3)) for _ in range(n))
-            lam = Fraction(rng.randint(1, 5), rng.randint(1, 5))
-            assert poly.support_min(tuple(lam * c for c in w1)) == lam * poly.support_min(w1)
-            both = tuple(a + b for a, b in zip(w1, w2))
-            assert poly.support_min(both) >= poly.support_min(w1) + poly.support_min(w2)
-
-
 class TestMinkowski:
     def test_hand_hull(self):
         left = NewtonPolyhedron(ASTAR)
@@ -188,23 +162,13 @@ class TestMinkowski:
 
     def test_identity_element(self):
         poly = NewtonPolyhedron(ASTAR)
-        assert poly.minkowski_sum(NewtonPolyhedron([(0, 0)])) == poly
+        total = poly.minkowski_sum(NewtonPolyhedron([(0, 0)]))
+        assert total.dimension == poly.dimension
+        assert total.vertices == poly.vertices
 
     def test_dimension_mismatch(self):
         with pytest.raises(InvalidInputError):
             NewtonPolyhedron(ASTAR).minkowski_sum(NewtonPolyhedron([(1, 0, 0)]))
-
-
-def vertex_rich(n, m):
-    """Generators (s_1^2, ..., s_n^2) over the weak compositions s of m
-    into n parts; every one of them is a vertex."""
-
-    def compositions(m, n):
-        if n == 1:
-            return [(m,)]
-        return [(a, *rest) for a in range(m + 1) for rest in compositions(m - a, n - 1)]
-
-    return [tuple(s * s for s in c) for c in compositions(m, n)]
 
 
 def assert_masses_match_polytope_volume(phi):

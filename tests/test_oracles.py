@@ -195,6 +195,11 @@ class TestQuasiTriangle:
         assert not report.passed
         assert report.max_violation > 0
 
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_sample_guard(self, samples):
+        with pytest.raises(InvalidInputError, match="need at least 1 sample"):
+            quasi_triangle_check((1, 1), samples=samples)
+
     def test_random_directions(self):
         rng = random.Random(45)
         for _ in range(5):
