@@ -58,7 +58,7 @@ def _load_document(path):
     for g in gens:
         if not isinstance(g, list) or len(g) != n:
             raise InvalidInputError(f"{path}: each generator must be a list of length {n}")
-        out.append(tuple(parse_rational(c) for c in g))
+        out.append(tuple(g))
     return out
 
 
@@ -133,8 +133,6 @@ def _cmd_mixed(args):
 
 
 def _cmd_contain(args):
-    if args.p < 1:
-        raise InvalidInputError("p must be a positive integer")
     j = MonomialIdeal(_load_document(args.jfile))
     i = PrimaryMonomialIdeal(_load_document(args.ifile))
     report = closure_containment_check(j, i, args.p)

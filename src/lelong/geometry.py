@@ -1,11 +1,11 @@
 """Exact geometric predicates.
 
 The module provides the exact determinant and membership in a Newton
-polyhedron, decided by exact LP feasibility. The one elimination
-routine is ``int_det``: Bareiss fraction-free elimination on integer
-rows, in ints from start to finish, which the facet-cone volumes call
-directly. ``det`` is its rational wrapper: it scales the whole matrix
-once to integers and makes one Fraction of the result.
+polyhedron, decided by the slack-basis LP ``linprog.feasible``. The one
+elimination routine is ``int_det``: Bareiss fraction-free elimination
+on integer rows, in ints from start to finish, which the facet-cone
+volumes call directly. ``det`` is its rational wrapper: it scales the
+whole matrix once to integers and makes one Fraction of the result.
 ``cone_point_member`` coerces its point and generators with
 ``rationals.vector``, so it takes the package's one rational grammar and
 dimensions 2..6; ``int_det``, ``det``, ``dot`` and the other helpers
@@ -84,9 +84,9 @@ def cone_point_member(point, generators) -> bool:
     """Exact membership of a point in conv(generators) + R_+^n.
 
     True iff there are lambda_j >= 0 with sum 1 and
-    sum_j lambda_j g_j <= point componentwise, decided by exact simplex
-    feasibility after two fast exact shortcuts (domination of a single
-    generator, and a per-coordinate lower bound).
+    sum_j lambda_j g_j <= point componentwise. A point with a negative
+    coordinate is outside; for any other the exact LP ``linprog.feasible``
+    decides.
     """
     x = vector(point)
     gens = [vector(g) for g in generators]
@@ -103,21 +103,6 @@ def cone_point_member(point, generators) -> bool:
 def _cone_member(x, gens) -> bool:
     """cone_point_member on a checked point and checked generators of its
     dimension, as the package's own callers hold them."""
-    n = len(x)
     if any(c < 0 for c in x):
         return False
-    for g in gens:
-        if all(gc <= xc for gc, xc in zip(g, x)):
-            return True
-    for i in range(n):
-        if x[i] < min(g[i] for g in gens):
-            return False
-    l = len(gens)
-    zero, one = Fraction(0), Fraction(1)
-    rows = []
-    for i in range(n):
-        slack = [one if j == i else zero for j in range(n)]
-        rows.append([g[i] for g in gens] + slack)
-    rows.append([one] * l + [zero] * n)
-    rhs = list(x) + [one]
-    return feasible(rows, rhs)
+    return feasible(gens, x)

@@ -1,12 +1,15 @@
-"""Exact LP feasibility over the rationals.
+"""Exact cone-membership LP over the rationals.
 
-A small dense phase-one primal simplex with Bland's rule decides whether
-``rows . x == rhs``, ``x >= 0`` has a solution. Every pivot is carried
-out in Fraction arithmetic, so the answer is exact; Bland's rule
-guarantees termination under degeneracy. The problems solved here are
-tiny (tens of variables), which makes the dense tableau the right tool.
-Its caller is ``geometry.cone_point_member`` and, through it, the
-Monte Carlo oracle.
+For columns G >= 0 (exponent vectors) and a point x >= 0,
+
+    x in conv(G) + R_+^n  iff  max { sum(lambda) : G lambda <= x, lambda >= 0 } >= 1:
+
+a convex combination below x has sum 1, and if s = sum(lambda) >= 1
+then G (lambda / s) <= x / s <= x. The slack basis is feasible because
+x >= 0, so one primal simplex decides, with no phase one. Pivots are
+exact Fraction arithmetic, and Bland's rule (Bland, Math. Oper. Res. 2,
+1977) guarantees termination. The caller is
+``geometry.cone_point_member`` and, through it, the Monte Carlo oracle.
 """
 
 from __future__ import annotations
@@ -14,69 +17,38 @@ from __future__ import annotations
 from fractions import Fraction
 
 
-def _pivot(tab, basis, row, col):
-    piv = tab[row][col]
-    tab[row] = [v / piv for v in tab[row]]
-    prow = tab[row]
-    for i, r in enumerate(tab):
-        if i == row:
-            continue
-        f = r[col]
-        if f:
-            tab[i] = [a - f * b for a, b in zip(r, prow)]
-    basis[row] = col
+def feasible(columns, x) -> bool:
+    """True iff some lambda >= 0 with sum(lambda) >= 1 has
+    sum_j lambda_j columns[j] <= x, for x >= 0.
 
-
-def _run_simplex(tab, basis, ncols):
-    """Pivot until optimal.
-
-    The last tableau row holds reduced costs with -objective in its final
-    cell; only the first ``ncols`` columns may enter the basis. The
-    phase-one objective is bounded below by zero, so the ratio test
-    always finds a leaving row.
+    Maximizes sum(lambda) from the slack basis until it reaches 1. The
+    lowest column with a negative reduced cost enters, and ratio ties
+    leave by the lowest basis index. An unbounded column has no positive
+    entry: the zero generator, which every x >= 0 dominates.
     """
-    nrows = len(tab) - 1
-    while True:
-        obj = tab[-1]
-        col = next((j for j in range(ncols) if obj[j] < 0), None)
+    n, m = len(x), len(columns)
+    # Fraction(...) on every entry: with int columns, v / piv below would
+    # otherwise be float division.
+    tab = [
+        [Fraction(g[i]) for g in columns] + [Fraction(k == i) for k in range(n)] + [Fraction(x[i])]
+        for i in range(n)
+    ]
+    # Reduced costs of min -sum(lambda); the last cell is sum(lambda).
+    tab.append([Fraction(-1)] * m + [Fraction(0)] * (n + 1))
+    basis = list(range(m, m + n))
+    while tab[-1][-1] < 1:
+        col = next((j for j in range(m + n) if tab[-1][j] < 0), None)
         if col is None:
-            return
-        best_row = None
-        best_ratio = None
-        for i in range(nrows):
-            a = tab[i][col]
-            if a > 0:
-                ratio = tab[i][-1] / a
-                if (
-                    best_ratio is None
-                    or ratio < best_ratio
-                    or (ratio == best_ratio and basis[i] < basis[best_row])
-                ):
-                    best_row, best_ratio = i, ratio
-        _pivot(tab, basis, best_row, col)
-
-
-def feasible(rows, rhs) -> bool:
-    """Exact feasibility of ``rows . x == rhs``, ``x >= 0``.
-
-    Phase one: minimize the sum of one artificial variable per row; the
-    system is feasible iff that minimum is zero.
-    """
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    zero, one = Fraction(0), Fraction(1)
-    tab = []
-    b = [Fraction(v) for v in rhs]
-    for i in range(m):
-        r = [Fraction(v) for v in rows[i]]
-        if b[i] < 0:
-            r = [-v for v in r]
-            b[i] = -b[i]
-        art = [one if j == i else zero for j in range(m)]
-        tab.append(r + art + [b[i]])
-    obj = [-sum(tab[i][j] for i in range(m)) for j in range(n)]
-    obj += [zero] * m + [-sum(b)]
-    tab.append(obj)
-    basis = [n + i for i in range(m)]
-    _run_simplex(tab, basis, n)
-    return tab[-1][-1] == 0
+            return False
+        rows = [i for i in range(n) if tab[i][col] > 0]
+        if not rows:
+            return True
+        row = min(rows, key=lambda i: (tab[i][-1] / tab[i][col], basis[i]))
+        piv = tab[row][col]
+        prow = tab[row] = [v / piv for v in tab[row]]
+        for i, r in enumerate(tab):
+            f = r[col]
+            if i != row and f:
+                tab[i] = [a - f * b for a, b in zip(r, prow)]
+        basis[row] = col
+    return True

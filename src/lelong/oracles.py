@@ -1,19 +1,25 @@
 """Independent verification paths for the exact kernel.
 
 Each oracle recomputes a kernel quantity by different means: an exact
-2-D staircase sum for covolumes, seeded Monte Carlo volume estimates,
-polarization over ``NewtonPolyhedron.minkowski_sum`` for mixed
-multiplicities, direct liminf sampling for directional numbers and
-relative types, and a sampled quasi-triangle inequality for
-directional weights. Floating-point oracles report values and
-tolerances; they never feed back into exact results. Only the two
-sampled oracles use numpy, and they import it themselves, so importing
-this module (and the CLI) does not load it.
+2-D staircase sum for covolumes, seeded Monte Carlo volume estimates
+whose every sample is decided exactly by the membership LP of
+``linprog`` (no kernel code), polarization over
+``NewtonPolyhedron.minkowski_sum`` for mixed multiplicities, direct
+liminf sampling for directional numbers and relative types, and a
+sampled quasi-triangle inequality for directional weights.
+Floating-point oracles report values and tolerances; they never feed
+back into exact results. Sample counts, seeds and grid depths must be
+ints, and the radius of the directional oracle a finite real; anything
+else is an InvalidInputError. Only the two sampled oracles use numpy,
+and they import it themselves, so importing this module (and the CLI)
+does not load it.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -61,6 +67,21 @@ def covolume_staircase_2d(generators) -> Fraction:
     return area
 
 
+def _require_int(name, value):
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise InvalidInputError(f"{name} must be an integer, got {value!r}")
+
+
+def _check_sampling(samples, seed, least):
+    """Int samples, at least ``least`` of them, and an int seed >= 0."""
+    _require_int("samples", samples)
+    _require_int("seed", seed)
+    if samples < least:
+        raise InvalidInputError(f"need at least {least} sample" + "s" * (least > 1))
+    if seed < 0:
+        raise InvalidInputError("seed must be nonnegative")
+
+
 @dataclass(frozen=True)
 class McEstimate:
     """Seeded Monte Carlo estimate with its standard error."""
@@ -82,8 +103,7 @@ def covolume_monte_carlo(poly: NewtonPolyhedron, samples: int, seed: int) -> McE
     """
     import numpy as np
 
-    if samples < 1000:
-        raise InvalidInputError("need at least 1000 samples")
+    _check_sampling(samples, seed, 1000)
     box = poly.axis_intercepts
     if any(m == math.inf for m in box):
         raise NotPrimaryError("covolume is infinite: some axis is never reached")
@@ -146,8 +166,9 @@ def mixed_multiplicity_polarization(
 
 def directional_lelong_numeric(u: HomogeneousPsh, direction, r: float = -1000.0) -> float:
     """f_u(r a) / r in floating point; exact for homogeneous data."""
-    if r > -100:
-        raise InvalidInputError("need r <= -100")
+    # A real r <= -100 is finite as a float iff r >= -max; nan fails both.
+    if not isinstance(r, numbers.Real) or not -sys.float_info.max <= r <= -100:
+        raise InvalidInputError(f"need a finite real r <= -100, got {r!r}")
     a = [float(c) for c in positive_direction(direction, u.dimension)]
     best = max(sum(float(g) * r * c for g, c in zip(gen, a)) for gen in u.generators)
     return best / r
@@ -160,6 +181,7 @@ def relative_type_numeric(u: HomogeneousPsh, phi: MonomialWeight, grid_depth: in
     toward the recession cone, so the estimate converges to the type
     from above as grid_depth grows.
     """
+    _require_int("grid_depth", grid_depth)
     if grid_depth < 10:
         raise InvalidInputError("need grid_depth >= 10")
     n = u.dimension
@@ -214,8 +236,7 @@ def quasi_triangle_check(
     """
     import numpy as np
 
-    if samples < 1:
-        raise InvalidInputError("need at least 1 sample")
+    _check_sampling(samples, seed, 1)
     a = positive_direction(direction)
     af = np.array([float(c) for c in a])
     n = len(a)

@@ -202,6 +202,16 @@ class TestErrors:
         assert code == 2
         assert err == "p must be a positive integer\n"
 
+    def test_negative_exponent_reports_the_input(self, capsys, tmp_path):
+        # The entries reach the library as read, so the message shows them
+        # as the library would, not as parsed Fractions.
+        path = tmp_path / "neg.json"
+        path.write_text(json.dumps({"n": 2, "generators": [[-1, 2], [3, 0]]}))
+        code, out, err = run(capsys, "mass", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == "exponents must be nonnegative, got (-1, 2)\n"
+
     def test_integer_past_the_digit_limit(self, capsys, tmp_path):
         path = tmp_path / "huge.json"
         path.write_text('{"n": 2, "generators": [[1' + "0" * 5000 + ', 0], [0, 1]]}')

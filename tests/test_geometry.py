@@ -1,4 +1,4 @@
-"""Exact geometry: determinants, volumes, cone membership, and LP feasibility."""
+"""Exact geometry: determinants, volumes, cone membership, and the membership LP."""
 
 import math
 import random
@@ -12,9 +12,10 @@ from hypothesis import strategies as st
 from lelong.errors import InvalidInputError
 from lelong.geometry import cone_point_member, det, int_det
 from lelong.linprog import feasible
+from lelong.newton import NewtonPolyhedron
 
 from reference import polytope_volume, simplex_volume
-from support import ASTAR
+from support import ASTAR, random_primary_ideal
 
 
 def leibniz(rows):
@@ -173,7 +174,49 @@ class TestConePointMember:
         assert not cone_point_member((Fraction(1, 2), Fraction(3, 2) - Fraction(1, 10**12)),
                                      [(2, 0), (0, 2)])
 
+    def test_agrees_with_vertex_set(self):
+        # x lies in P = conv(G) + R_+^n iff adding it to G leaves the vertex
+        # set unchanged; the double description hull shares no code with
+        # the LP. Points: quarter-integer points of the lower half of the
+        # intercept box, points of compact facets shifted by +-1e-9, and
+        # Monte Carlo style Fraction(float) * m.
+        rng = random.Random(2026)
+        eps = Fraction(1, 10**9)
+        for _ in range(30):
+            n = rng.randint(2, 6)
+            poly = random_primary_ideal(rng, n, max_exp=6).weight.polyhedron
+            gens = list(poly.generators)
+            box = poly.axis_intercepts
+            facet = rng.choice(poly.compact_facets)
+            weights = [Fraction(rng.randint(1, 9)) for _ in facet.vertex_indices]
+            on_facet = [
+                sum(w * v[k] for w, v in zip(weights, poly.facet_points(facet))) / sum(weights)
+                for k in range(n)
+            ]
+            points = [
+                tuple(Fraction(rng.randint(0, int(2 * m)), 4) for m in box),
+                tuple(max(c + rng.choice((-eps, eps)), 0) for c in on_facet),
+                tuple(Fraction(rng.random()) * m for m in box),
+            ]
+            for x in points:
+                unchanged = set(NewtonPolyhedron(gens + [x]).vertices) == set(poly.vertices)
+                assert cone_point_member(x, gens) == unchanged
 
-class TestLinprog:
-    def test_infeasible(self):
-        assert not feasible([[1, 0], [1, 0]], [1, 2])
+
+class TestFeasible:
+    def test_boundary_is_feasible(self):
+        assert feasible([(2, 1), (1, 2)], (Fraction(3, 2), Fraction(3, 2)))
+
+    def test_just_below_boundary_is_infeasible(self):
+        x = (Fraction(3, 2), Fraction(3, 2) - Fraction(1, 10**9))
+        assert not feasible([(2, 1), (1, 2)], x)
+
+    def test_zero_column_is_feasible(self):
+        # The zero column can grow without bound, so every x >= 0 is reached.
+        assert feasible([(5, 5), (0, 0)], (1, 1))
+        assert feasible([(0, 0, 0)], (0, 0, 0))
+
+    def test_int_columns_stay_exact(self):
+        # In floats, 2 - 1e-17 rounds to 2 and x lands on the boundary.
+        x = (Fraction(1), 2 - Fraction(1, 10**17))
+        assert not feasible([(3, 0), (0, 3)], x)

@@ -74,6 +74,26 @@ class TestMonteCarlo:
         with pytest.raises(NotPrimaryError):
             covolume_monte_carlo(NewtonPolyhedron([(2, 0), (1, 1)]), 1000, seed=1)
 
+    @pytest.mark.parametrize(
+        "samples, seed", [(1000, -1), (1000.0, 1), (1000, 1.5), (1000, True)]
+    )
+    def test_bad_samples_or_seed(self, samples, seed):
+        with pytest.raises(InvalidInputError):
+            covolume_monte_carlo(NewtonPolyhedron(ASTAR), samples, seed=seed)
+
+    def test_estimates_pinned(self):
+        # Recorded with the earlier phase-one membership LP. The indicator
+        # is exact, so a correct membership test reproduces every estimate
+        # bit for bit.
+        assert repr(covolume_monte_carlo(NewtonPolyhedron(ASTAR), 1000, seed=11).value) == (
+            "3.2489999999999997"
+        )
+        rng = random.Random(0)
+        expected = {3: "2.704", 4: "4.68", 5: "0.8099999999999999", 6: "0.675"}
+        for n, samples in ((3, 1000), (4, 1000), (5, 2000), (6, 4000)):
+            poly = NewtonPolyhedron(random_primary_ideal(rng, n, max_exp=6).generators)
+            assert repr(covolume_monte_carlo(poly, samples, seed=n).value) == expected[n]
+
 
 class TestPolarization:
     def test_worked_example(self):
@@ -146,6 +166,16 @@ class TestNumericDirectional:
         with pytest.raises(InvalidInputError):
             directional_lelong_numeric(PHI_STAR, (1, 1), r=-10.0)
 
+    @pytest.mark.parametrize(
+        "r", [-math.inf, math.nan, "-1000", -10**400], ids=["-inf", "nan", "str", "-10**400"]
+    )
+    def test_r_must_be_finite_real(self, r):
+        with pytest.raises(InvalidInputError):
+            directional_lelong_numeric(PHI_STAR, (1, 1), r=r)
+
+    def test_exact_r_accepted(self):
+        assert abs(directional_lelong_numeric(PHI_STAR, (1, 1), r=Fraction(-1000)) - 2.0) < 1e-9
+
 
 class TestNumericRelativeType:
     def test_square_probe(self):
@@ -178,6 +208,11 @@ class TestNumericRelativeType:
         with pytest.raises(InvalidInputError):
             relative_type_numeric(PHI_STAR, PHI_STAR, grid_depth=5)
 
+    @pytest.mark.parametrize("grid_depth", [10.5, 12.0])
+    def test_depth_must_be_int(self, grid_depth):
+        with pytest.raises(InvalidInputError):
+            relative_type_numeric(PHI_STAR, PHI_STAR, grid_depth=grid_depth)
+
 
 class TestQuasiTriangle:
     def test_isotropic(self):
@@ -199,6 +234,11 @@ class TestQuasiTriangle:
     def test_sample_guard(self, samples):
         with pytest.raises(InvalidInputError, match="need at least 1 sample"):
             quasi_triangle_check((1, 1), samples=samples)
+
+    @pytest.mark.parametrize("samples, seed", [(10, -1), (True, 0), (10.0, 0), (10, 0.5)])
+    def test_bad_samples_or_seed(self, samples, seed):
+        with pytest.raises(InvalidInputError):
+            quasi_triangle_check((1, 1), samples=samples, seed=seed)
 
     def test_random_directions(self):
         rng = random.Random(45)
