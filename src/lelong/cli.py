@@ -1,10 +1,11 @@
 """Command-line interface: JSON documents in, exact JSON results out.
 
 Input documents have the schema
-``{"n": int, "generators": [[entry, ...], ...], "name"?: str}`` where
-each entry is an integer or an exact "p/q" string. All rationals in the
-output are serialized as decimal strings when integral and "p/q"
-otherwise, with a fixed key order, so results are byte-stable.
+``{"n": int, "generators": [[entry, ...], ...], "name"?: str}``. Entries,
+and those of the comma-separated ``dir-lelong --a``, reach the library
+as read: each is an integer or an exact "p/q" string. Output rationals
+are decimal strings when integral and "p/q" otherwise, with a fixed key
+order, so results are byte-stable.
 
 Exit codes: 0 on success, 2 on input errors, 3 when an operation needs
 pure-power (primary) structure the input lacks.
@@ -23,7 +24,7 @@ from .ideals import (
     closure_containment_check,
     mixed_multiplicity,
 )
-from .rationals import format_rational, parse_rational
+from .rationals import format_rational
 from .render import render_weight_svg
 from .weights import HomogeneousPsh, MonomialWeight, generalized_lelong, relative_type
 
@@ -66,13 +67,6 @@ def _rats(values):
     return [format_rational(v) for v in values]
 
 
-def _parse_direction(text):
-    try:
-        return tuple(parse_rational(part) for part in text.split(","))
-    except InvalidInputError:
-        raise InvalidInputError(f"bad direction {text!r}: expected comma-separated rationals")
-
-
 def _cmd_mass(args):
     phi = MonomialWeight(_load_document(args.file))
     return {"tau": format_rational(phi.residual_mass())}
@@ -80,7 +74,7 @@ def _cmd_mass(args):
 
 def _cmd_dir_lelong(args):
     u = HomogeneousPsh(_load_document(args.file))
-    return {"nu": format_rational(u.directional_lelong(_parse_direction(args.a)))}
+    return {"nu": format_rational(u.directional_lelong(args.a.split(",")))}
 
 
 def _cmd_gamma(args):

@@ -1,16 +1,15 @@
 """Exact geometric predicates.
 
-The module provides the exact determinant and membership in a Newton
-polyhedron, decided by the slack-basis LP ``linprog.feasible``. The one
-elimination routine is ``int_det``: Bareiss fraction-free elimination
-on integer rows, in ints from start to finish, which the facet-cone
-volumes call directly. ``det`` is its rational wrapper: it scales the
-whole matrix once to integers and makes one Fraction of the result.
-``cone_point_member`` coerces its point and generators with
-``rationals.vector``, so it takes the package's one rational grammar and
-dimensions 2..6; ``int_det``, ``det``, ``dot`` and the other helpers
-work on exact values the package has already checked. The brute-force
-volume reference for the facet-cone volumes is ``tests/reference.py``.
+The module provides the one determinant and membership in a Newton
+polyhedron, decided by the slack-basis LP ``linprog.feasible``. The
+determinant is ``int_det``: Bareiss fraction-free elimination on integer
+rows, in ints from start to finish, which the facet-cone volumes call
+directly and ``hyperplane_normal`` calls on its points scaled once to
+integers. ``cone_point_member`` coerces its point with
+``rationals.vector`` and its generators with ``rationals.exponent_set``,
+so it takes the package's one rational grammar, dimensions 2..6 and the
+exponent-set rules. The brute-force volume reference for the facet-cone
+volumes is ``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -19,15 +18,7 @@ from fractions import Fraction
 
 from .errors import InvalidInputError
 from .linprog import feasible
-from .rationals import integer_scaling, vector
-
-
-def dot(u, v) -> Fraction:
-    return sum(a * b for a, b in zip(u, v))
-
-
-def vsub(u, v):
-    return tuple(a - b for a, b in zip(u, v))
+from .rationals import exponent_set, integer_scaling, vector
 
 
 def int_det(rows) -> int:
@@ -55,45 +46,31 @@ def int_det(rows) -> int:
     return sign * a[0][0] if a else 1
 
 
-def det(rows) -> Fraction:
-    """Exact determinant of a square rational matrix: the whole matrix is
-    scaled once to integers by the lcm L of its denominators, and the
-    determinant is int_det of the scaled rows over L^n."""
-    scale, ints = integer_scaling(rows)
-    return Fraction(int_det(ints), scale ** len(ints))
-
-
 def hyperplane_normal(points) -> tuple[Fraction, ...]:
-    """Normal of the hyperplane spanned by d points in dimension d.
-
-    Computed by cofactor expansion of the difference matrix; the zero
-    vector signals affine dependence.
-    """
-    base = points[0]
-    rows = [vsub(p, base) for p in points[1:]]
-    d = len(base)
-    normal = []
-    for j in range(d):
-        minor = [r[:j] + r[j + 1 :] for r in rows]
-        cof = det(minor) if minor else Fraction(1)
-        normal.append(cof if j % 2 == 0 else -cof)
-    return tuple(normal)
+    """Normal of the hyperplane spanned by d points in dimension d: the
+    signed cofactors of the difference matrix, each the int_det of the
+    points scaled by the lcm L of their denominators over L^(d-1). The
+    zero vector signals affine dependence."""
+    scale, ints = integer_scaling(points)
+    base = ints[0]
+    rows = [tuple(a - b for a, b in zip(p, base)) for p in ints[1:]]
+    denominator = scale ** len(rows)
+    return tuple(
+        Fraction((-1) ** j * int_det([r[:j] + r[j + 1 :] for r in rows]), denominator)
+        for j in range(len(base))
+    )
 
 
 def cone_point_member(point, generators) -> bool:
     """Exact membership of a point in conv(generators) + R_+^n.
 
     True iff there are lambda_j >= 0 with sum 1 and
-    sum_j lambda_j g_j <= point componentwise. A point with a negative
-    coordinate is outside; for any other the exact LP ``linprog.feasible``
-    decides.
+    sum_j lambda_j g_j <= point componentwise, for generators that
+    ``exponent_set`` accepts. A point with a negative coordinate is
+    outside; for any other the exact LP ``linprog.feasible`` decides.
     """
     x = vector(point)
-    gens = [vector(g) for g in generators]
-    if not gens:
-        raise InvalidInputError("empty generator set")
-    if any(len(g) != len(gens[0]) for g in gens):
-        raise InvalidInputError("generator set mixes dimensions")
+    gens = exponent_set(generators)
     n = len(x)
     if len(gens[0]) != n:
         raise InvalidInputError(f"point has dimension {n}, generators {len(gens[0])}")

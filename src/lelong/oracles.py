@@ -3,16 +3,19 @@
 Each oracle recomputes a kernel quantity by different means: an exact
 2-D staircase sum for covolumes, seeded Monte Carlo volume estimates
 whose every sample is decided exactly by the membership LP of
-``linprog`` (no kernel code), polarization over
-``NewtonPolyhedron.minkowski_sum`` for mixed multiplicities, direct
-liminf sampling for directional numbers and relative types, and a
-sampled quasi-triangle inequality for directional weights.
-Floating-point oracles report values and tolerances; they never feed
-back into exact results. Sample counts, seeds and grid depths must be
-ints, and the radius of the directional oracle a finite real; anything
-else is an InvalidInputError. Only the two sampled oracles use numpy,
-and they import it themselves, so importing this module (and the CLI)
-does not load it.
+``linprog`` on the checked generators (no kernel code, not even the
+vertex reduction), polarization over ``NewtonPolyhedron.minkowski_sum``
+for mixed multiplicities, direct liminf sampling for directional numbers
+and relative types, and a sampled quasi-triangle inequality for
+directional weights. Floating-point oracles report values and
+tolerances; they never feed back into exact results. Sample counts,
+seeds and grid depths must be ints, and the radius of the directional
+oracle and the quasi-triangle constant finite reals; anything else is an
+InvalidInputError. So is an input a float cannot hold: every exact value
+becomes a float through ``_float``, which rejects one past the float
+range, and a result that overflows is rejected too. Only the two sampled
+oracles use numpy, and they import it themselves, so importing this
+module (and the CLI) does not load it.
 """
 
 from __future__ import annotations
@@ -67,6 +70,15 @@ def covolume_staircase_2d(generators) -> Fraction:
     return area
 
 
+def _float(name, value):
+    """float(value) for an exact value, or InvalidInputError when the
+    value is past the float range."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise InvalidInputError(f"{name} is too large for a float") from None
+
+
 def _require_int(name, value):
     if not isinstance(value, int) or isinstance(value, bool):
         raise InvalidInputError(f"{name} must be an integer, got {value!r}")
@@ -96,10 +108,12 @@ def covolume_monte_carlo(poly: NewtonPolyhedron, samples: int, seed: int) -> McE
     """Estimate the covolume by uniform sampling in the intercept box.
 
     Membership of each (exactly rationalized) sample is decided by the
-    exact core of cone_point_member on the checked vertices, so the
-    indicator itself is exact; only the estimate is statistical.
+    exact core of cone_point_member on the checked generators, not on the
+    kernel's vertices, so the indicator itself is exact and independent
+    of the vertex reduction; only the estimate is statistical.
     Deterministic per (seed, samples) thanks to the counter-based Philox
-    generator.
+    generator. A box whose volume is past the float range is rejected
+    before any sample is drawn.
     """
     import numpy as np
 
@@ -107,15 +121,15 @@ def covolume_monte_carlo(poly: NewtonPolyhedron, samples: int, seed: int) -> McE
     box = poly.axis_intercepts
     if any(m == math.inf for m in box):
         raise NotPrimaryError("covolume is infinite: some axis is never reached")
+    box_volume = _float("the sample box volume", math.prod(box))
     rng = np.random.Generator(np.random.Philox(seed))
     u = rng.random((samples, poly.dimension))
     outside = 0
-    verts = poly.vertices
+    gens = poly.generators
     for row in u:
         x = tuple(Fraction(float(c)) * m for c, m in zip(row, box))
-        if not _cone_member(x, verts):
+        if not _cone_member(x, gens):
             outside += 1
-    box_volume = float(math.prod(box))
     p = outside / samples
     std = math.sqrt(p * (1 - p) * samples / (samples - 1))
     return McEstimate(
@@ -165,12 +179,19 @@ def mixed_multiplicity_polarization(
 
 
 def directional_lelong_numeric(u: HomogeneousPsh, direction, r: float = -1000.0) -> float:
-    """f_u(r a) / r in floating point; exact for homogeneous data."""
+    """f_u(r a) / r in floating point; exact for homogeneous data.
+
+    Exponents and direction entries past the float range, and an f_u(r a)
+    that overflows, raise InvalidInputError.
+    """
     # A real r <= -100 is finite as a float iff r >= -max; nan fails both.
     if not isinstance(r, numbers.Real) or not -sys.float_info.max <= r <= -100:
         raise InvalidInputError(f"need a finite real r <= -100, got {r!r}")
-    a = [float(c) for c in positive_direction(direction, u.dimension)]
-    best = max(sum(float(g) * r * c for g, c in zip(gen, a)) for gen in u.generators)
+    a = [_float("a direction entry", c) for c in positive_direction(direction, u.dimension)]
+    gens = [[_float("an exponent", c) for c in g] for g in u.generators]
+    best = max(sum(g * r * c for g, c in zip(gen, a)) for gen in gens)
+    if not math.isfinite(best):
+        raise InvalidInputError(f"f_u(r a) overflows a float at r = {r!r}")
     return best / r
 
 
@@ -187,8 +208,8 @@ def relative_type_numeric(u: HomogeneousPsh, phi: MonomialWeight, grid_depth: in
     n = u.dimension
     if phi.dimension != n:
         raise InvalidInputError("dimension mismatch")
-    gens_u = [[float(c) for c in g] for g in u.generators]
-    gens_phi = [[float(c) for c in g] for g in phi.generators]
+    gens_u = [[_float("an exponent", c) for c in g] for g in u.generators]
+    gens_phi = [[_float("an exponent", c) for c in g] for g in phi.generators]
 
     def f(gens, t):
         return max(sum(g[k] * t[k] for k in range(n)) for g in gens)
@@ -233,14 +254,25 @@ def quasi_triangle_check(
     phi is the directional weight max_k log|z_k| / a_k on the unit
     polydisk and the default constant is K = log(2) / min(a). Points are
     complex, so near-antipodal coordinate pairs (the tight case) occur.
+    Each a_k must be a nonzero float, and K a finite real that is not a
+    bool; anything else is an InvalidInputError.
     """
     import numpy as np
 
     _check_sampling(samples, seed, 1)
     a = positive_direction(direction)
-    af = np.array([float(c) for c in a])
+    af = np.array([_float("a direction entry", c) for c in a])
+    if not af.all():
+        raise InvalidInputError("a direction entry rounds to 0.0 as a float")
     n = len(a)
-    k_const = math.log(2.0) / float(min(a)) if constant is None else float(constant)
+    if constant is None:
+        k_const = math.log(2.0) / float(af.min())
+    elif isinstance(constant, bool) or not isinstance(constant, numbers.Real):
+        raise InvalidInputError(f"need a real constant, got {constant!r}")
+    else:
+        k_const = _float("the constant", constant)
+    if not math.isfinite(k_const):
+        raise InvalidInputError(f"need a finite constant K, got {k_const!r}")
     rng = np.random.Generator(np.random.Philox(seed))
 
     def draw():

@@ -36,7 +36,6 @@ from functools import cached_property
 from operator import mul
 
 from .errors import InvalidInputError, NotPrimaryError
-from .geometry import dot
 from .newton import NewtonPolyhedron
 from .rationals import exponent_set, integer_scaling, parse_rational, positive_direction
 
@@ -98,7 +97,7 @@ class HomogeneousPsh:
     def directional_lelong(self, direction) -> Fraction:
         """min_j <b_j, a> for a strictly positive direction a."""
         a = positive_direction(direction, self.dimension)
-        return min(dot(g, a) for g in self.generators)
+        return min(sum(map(mul, g, a)) for g in self.generators)
 
     def __repr__(self):
         gens = ", ".join(str(tuple(map(str, g))) for g in self.generators)

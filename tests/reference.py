@@ -16,15 +16,20 @@ from fractions import Fraction
 from itertools import combinations
 
 from lelong.errors import InvalidInputError
-from lelong.geometry import det, dot, hyperplane_normal, vsub
-from lelong.rationals import vector
+from lelong.geometry import hyperplane_normal, int_det
+from lelong.rationals import integer_scaling, vector
+
+
+def dot(u, v):
+    return sum(a * b for a, b in zip(u, v))
 
 
 def simplex_volume(points) -> Fraction:
     """Volume of the simplex on n+1 points in dimension n.
 
-    Returns |det(p_1 - p_0, ..., p_n - p_0)| / n!; zero exactly when the
-    points are affinely dependent.
+    Returns |det(p_1 - p_0, ..., p_n - p_0)| / n!, taken as the int_det of
+    the points scaled by the lcm L of their denominators over L^n n!;
+    zero exactly when the points are affinely dependent.
     """
     pts = [vector(p) for p in points]
     if not pts:
@@ -34,8 +39,9 @@ def simplex_volume(points) -> Fraction:
         raise InvalidInputError("simplex mixes dimensions")
     if len(pts) != n + 1:
         raise InvalidInputError(f"need {n + 1} points in dimension {n}, got {len(pts)}")
-    d = det([vsub(p, pts[0]) for p in pts[1:]])
-    return abs(d) / math.factorial(n)
+    scale, ints = integer_scaling(pts)
+    d = int_det([tuple(a - b for a, b in zip(p, ints[0])) for p in ints[1:]])
+    return Fraction(abs(d), scale**n * math.factorial(n))
 
 
 def scale_primitive(w, h):

@@ -1,10 +1,14 @@
 """Command-line interface: subcommands, exit codes, byte stability."""
 
+import contextlib
+import io
 import json
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from lelong.cli import main
 from lelong.rationals import MAX_DIGITS, parse_rational
@@ -237,7 +241,7 @@ class TestErrors:
     def test_direction_outside_the_grammar(self, capsys, a):
         code, _, err = run(capsys, "dir-lelong", PHI_STAR, "--a", a)
         assert code == 2
-        assert err.startswith("bad direction")
+        assert err.startswith("not a valid rational") and err.count("\n") == 1
 
     def test_float_generator_rejected(self, capsys, tmp_path):
         doc = {"n": 2, "generators": [[1.5, 0], [0, 1]]}
@@ -306,3 +310,110 @@ class TestGoldenSubprocess:
             proc = run_python("-m", "lelong.cli", *argv, capture_output=True, timeout=20)
             assert proc.returncode == 2
             assert proc.stderr.count(b"\n") == 1
+
+
+# Entries in the grammar: ints up to 10**30 and "p/q" strings.
+RATIONALS = st.one_of(
+    st.integers(0, 9),
+    st.integers(0, 10**30),
+    st.builds("{}/{}".format, st.integers(0, 99), st.integers(1, 9)),
+)
+# Entries of every JSON type: the above, negative ints, "p/q" strings
+# with zero or negative parts, other text, floats, bools, null, lists and
+# dicts.
+ENTRIES = st.one_of(
+    RATIONALS,
+    st.integers(-(10**30), -1),
+    st.builds("{}/{}".format, st.integers(-9, 9), st.integers(-1, 0)),
+    st.text(max_size=4),
+    st.floats(),
+    st.booleans(),
+    st.none(),
+    st.lists(st.integers(0, 3), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(0, 3), max_size=1),
+)
+
+
+@st.composite
+def documents(draw, n):
+    """A document of 0 to 5 generators. Half are well formed: dimension
+    ``n``, entries in the grammar (for some documents only ints, as ideals
+    need), and often a pure power on every axis.
+    The rest draw the field n from -1..8 or a non-integer, entries from
+    ENTRIES, and the generator lengths freely."""
+    if draw(st.booleans()):
+        entries = draw(st.sampled_from([st.integers(0, 10**30), RATIONALS]))
+        row = st.lists(entries, min_size=n, max_size=n)
+        gens = draw(st.lists(row, min_size=1, max_size=5))
+        if draw(st.booleans()):
+            gens += [[draw(st.integers(1, 9)) * (i == k) for i in range(n)] for k in range(n)]
+        return {"n": n, "generators": gens}
+    n = draw(st.one_of(st.integers(-1, 8), st.sampled_from([2.0, "2", None, True, [2]])))
+    length = n if isinstance(n, int) and 0 <= n else 2
+    sizes = st.one_of(st.just(length), st.integers(0, 7))
+    gens = [
+        draw(st.lists(ENTRIES, min_size=size, max_size=size))
+        for size in draw(st.lists(sizes, max_size=5))
+    ]
+    return {"n": n, "generators": gens}
+
+
+SUBCOMMANDS = {
+    "mass": 1, "dir-lelong": 1, "gamma": 1, "lelong": 2, "type": 2, "extremal": 1,
+    "flat": 1, "mixed": 2, "contain": 2, "loj": 1, "plot": 1,
+}
+
+
+@st.composite
+def invocations(draw):
+    """A subcommand, its documents and its flags. Well-formed documents
+    share one dimension; ``--a`` has that many positive ints or up to 7
+    entries of any kind, and ``-p`` runs over -3..8."""
+    command = draw(st.sampled_from(sorted(SUBCOMMANDS)))
+    n = draw(st.integers(2, 6))
+    docs = [draw(documents(n)) for _ in range(SUBCOMMANDS[command])]
+    flags = []
+    if command == "dir-lelong":
+        a = draw(st.one_of(
+            st.lists(st.integers(1, 9).map(str), min_size=n, max_size=n),
+            st.lists(ENTRIES.map(str), max_size=7),
+        ))
+        flags = [f"--a={','.join(a)}"]
+    elif command == "contain":
+        flags = ["-p", str(draw(st.integers(-3, 8)))]
+    elif command in ("lelong", "mixed") and draw(st.booleans()):
+        flags = ["--normalized"] if command == "lelong" else ["--oracle", "polarization"]
+    return command, docs, flags
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(invocations())
+def test_cli_contract(fuzz_dir, invocation):
+    """Every subcommand, in process, on any document ends with exit 0, 2 or
+    3; a nonzero exit prints exactly one stderr line, and a zero exit one
+    JSON line on stdout (``plot`` writes its file instead)."""
+    command, docs, flags = invocation
+    argv = [command]
+    for k, doc in enumerate(docs):
+        path = fuzz_dir / f"doc{k}.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        argv.append(str(path))
+    if command == "plot":
+        flags = ["-o", str(fuzz_dir / "out.svg")]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv + flags)
+    assert code in (0, 2, 3)
+    if code:
+        assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
+        return
+    assert err.getvalue() == ""
+    if command == "plot":
+        assert out.getvalue() == ""
+    else:
+        assert out.getvalue().count("\n") == 1 and json.loads(out.getvalue())

@@ -1,4 +1,4 @@
-"""Exact geometry: determinants, volumes, cone membership, and the membership LP."""
+"""Exact geometry: the determinant, normals, volumes, cone membership and the membership LP."""
 
 import math
 import random
@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lelong.errors import InvalidInputError
-from lelong.geometry import cone_point_member, det, int_det
+from lelong.geometry import cone_point_member, hyperplane_normal, int_det
 from lelong.linprog import feasible
 from lelong.newton import NewtonPolyhedron
 
@@ -57,12 +57,6 @@ class TestIntDet:
         got = int_det(rows)
         assert type(got) is int and got == leibniz(rows)
 
-    @settings(max_examples=60, deadline=None)
-    @given(square_matrices(st.fractions(min_value=-9, max_value=9, max_denominator=6)))
-    def test_det_on_rational_rows_matches_leibniz(self, rows):
-        got = det(rows)
-        assert type(got) is Fraction and got == leibniz(rows)
-
     def test_zero_pivots_are_swapped(self):
         assert int_det([[0, 1], [1, 0]]) == -1
         assert int_det([[0, 2, 1], [0, 1, 1], [3, 0, 0]]) == 3
@@ -71,20 +65,27 @@ class TestIntDet:
         assert int_det([[0, 0], [1, 2]]) == 0
 
     def test_empty_matrix(self):
-        assert int_det([]) == 1 and det([]) == 1
+        assert int_det([]) == 1
 
 
-class TestDet:
-    def test_known_2x2(self):
-        assert det([[Fraction(3), Fraction(0)], [Fraction(1), Fraction(1)]]) == 3
-
-    def test_known_3x3(self):
-        m = [[Fraction(v) for v in row] for row in ((2, 0, 1), (1, 1, 0), (0, 3, 1))]
-        assert det(m) == 2 * 1 - 0 + 1 * 3
-
-    def test_singular(self):
-        m = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
-        assert det(m) == 0
+class TestHyperplaneNormal:
+    def test_matches_leibniz_cofactors(self):
+        # d rational points in dimension d, some affinely dependent: the
+        # normal is the signed cofactor row of the difference matrix.
+        rng = random.Random(12)
+        for _ in range(200):
+            d = rng.randint(2, 6)
+            pts = [tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 5)) for _ in range(d))
+                   for _ in range(d)]
+            if rng.random() < 0.2:
+                pts[-1] = pts[0]
+            rows = [[a - b for a, b in zip(p, pts[0])] for p in pts[1:]]
+            expected = tuple(
+                (-1) ** j * Fraction(leibniz([r[:j] + r[j + 1 :] for r in rows]))
+                for j in range(d)
+            )
+            got = hyperplane_normal(pts)
+            assert got == expected and all(type(c) is Fraction for c in got)
 
 
 class TestSimplexVolume:
@@ -157,6 +158,16 @@ class TestConePointMember:
     def test_dimension_mismatch(self):
         with pytest.raises(InvalidInputError):
             cone_point_member((1, 1, 1), ASTAR)
+
+    def test_generators_follow_the_exponent_set_rules(self):
+        # (-1, 0) = (-2, 0) + (1, 0) would lie in conv(G) + R_+^2, but the
+        # LP assumes G >= 0: negative generators are rejected, not decided.
+        with pytest.raises(InvalidInputError, match="exponents must be nonnegative"):
+            cone_point_member((-1, 0), [(-2, 0), (0, -2)])
+        with pytest.raises(InvalidInputError, match="at least one generator"):
+            cone_point_member((1, 1), [])
+        with pytest.raises(InvalidInputError, match="generators mix dimensions"):
+            cone_point_member((1, 1), [(1, 0), (0, 1, 0)])
 
     def test_monotone(self):
         rng = random.Random(3)

@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lelong.errors import InvalidInputError, NotPrimaryError
 from lelong.ideals import (
@@ -95,7 +97,22 @@ class TestSamuel:
             assert isinstance(e, int) and e >= 1
 
 
+@st.composite
+def planar_primary_ideals(draw):
+    """A primary monomial ideal of C[z1, z2]: pure powers on both axes
+    plus up to three nonzero extras."""
+    entry = st.integers(0, 9)
+    gens = [(draw(st.integers(1, 9)), 0), (0, draw(st.integers(1, 9)))]
+    gens += draw(st.lists(st.tuples(entry, entry).filter(any), max_size=3))
+    return PrimaryMonomialIdeal(gens)
+
+
 class TestMixed:
+    @settings(max_examples=100, deadline=None)
+    @given(planar_primary_ideals(), planar_primary_ideals())
+    def test_planar_mixed_multiplicity_is_symmetric(self, j, i):
+        assert mixed_multiplicity(j, i) == mixed_multiplicity(i, j)
+
     def test_cross_principal(self):
         assert mixed_multiplicity(MonomialIdeal([(1, 1)]), I_STAR) == 6
 

@@ -81,6 +81,18 @@ class TestMonteCarlo:
         with pytest.raises(InvalidInputError):
             covolume_monte_carlo(NewtonPolyhedron(ASTAR), samples, seed=seed)
 
+    def test_reads_the_generators_not_the_vertices(self):
+        # A vertex-reduction bug that drops (1, 1) must not move the
+        # estimate along with the kernel's covolume.
+        expected = covolume_monte_carlo(NewtonPolyhedron(ASTAR), 1000, seed=11)
+        tampered = NewtonPolyhedron(ASTAR)
+        tampered.vertices = tuple(v for v in tampered.vertices if v != (1, 1))
+        assert covolume_monte_carlo(tampered, 1000, seed=11) == expected
+
+    def test_box_past_float_range_rejected(self):
+        with pytest.raises(InvalidInputError, match="too large for a float"):
+            covolume_monte_carlo(NewtonPolyhedron([(10**400, 0), (0, 1)]), 1000, seed=0)
+
     def test_estimates_pinned(self):
         # Recorded with the earlier phase-one membership LP. The indicator
         # is exact, so a correct membership test reproduces every estimate
@@ -173,6 +185,16 @@ class TestNumericDirectional:
         with pytest.raises(InvalidInputError):
             directional_lelong_numeric(PHI_STAR, (1, 1), r=r)
 
+    def test_exponent_past_float_range(self):
+        u = HomogeneousPsh([(10**400, 0), (0, 1)])
+        with pytest.raises(InvalidInputError, match="too large for a float"):
+            directional_lelong_numeric(u, (1, 1))
+
+    def test_overflowing_value_rejected(self):
+        # Every g r a_k overflows to -inf at r = -1e308; the exact value is 2.
+        with pytest.raises(InvalidInputError, match="overflows"):
+            directional_lelong_numeric(PHI_STAR, (1, 1), r=-1e308)
+
     def test_exact_r_accepted(self):
         assert abs(directional_lelong_numeric(PHI_STAR, (1, 1), r=Fraction(-1000)) - 2.0) < 1e-9
 
@@ -208,6 +230,11 @@ class TestNumericRelativeType:
         with pytest.raises(InvalidInputError):
             relative_type_numeric(PHI_STAR, PHI_STAR, grid_depth=5)
 
+    def test_exponent_past_float_range(self):
+        u = HomogeneousPsh([(10**400, 0), (0, 1)])
+        with pytest.raises(InvalidInputError, match="too large for a float"):
+            relative_type_numeric(u, MonomialWeight([(1, 0), (0, 1)]))
+
     @pytest.mark.parametrize("grid_depth", [10.5, 12.0])
     def test_depth_must_be_int(self, grid_depth):
         with pytest.raises(InvalidInputError):
@@ -239,6 +266,22 @@ class TestQuasiTriangle:
     def test_bad_samples_or_seed(self, samples, seed):
         with pytest.raises(InvalidInputError):
             quasi_triangle_check((1, 1), samples=samples, seed=seed)
+
+    @pytest.mark.parametrize(
+        "direction, match",
+        [((10**400, 1), "too large for a float"), ((Fraction(1, 10**400), 1), "rounds to 0.0")],
+        ids=["10**400", "1/10**400"],
+    )
+    def test_direction_a_float_cannot_hold(self, direction, match):
+        with pytest.raises(InvalidInputError, match=match):
+            quasi_triangle_check(direction, samples=10)
+
+    @pytest.mark.parametrize(
+        "constant", ["abc", True, math.nan, math.inf], ids=["str", "bool", "nan", "inf"]
+    )
+    def test_constant_must_be_finite_real(self, constant):
+        with pytest.raises(InvalidInputError, match="constant"):
+            quasi_triangle_check((1, 1), samples=10, constant=constant)
 
     def test_random_directions(self):
         rng = random.Random(45)

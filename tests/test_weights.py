@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lelong.errors import InvalidInputError, NotPrimaryError
 from lelong.ideals import MonomialIdeal, PrimaryMonomialIdeal
@@ -208,7 +210,25 @@ class TestDirectionalLelong:
             PHI_STAR.directional_lelong((1, 0))
 
 
+@st.composite
+def planar_rational_weights(draw):
+    """A MonomialWeight in dimension 2: rational pure powers on both axes
+    plus up to three nonzero rational extras."""
+    entry = st.fractions(min_value=0, max_value=9, max_denominator=6)
+    power = entry.filter(bool)
+    gens = [(draw(power), 0), (0, draw(power))]
+    gens += draw(st.lists(st.tuples(entry, entry).filter(any), max_size=3))
+    return MonomialWeight(gens)
+
+
 class TestGeneralizedLelong:
+    @settings(max_examples=100, deadline=None)
+    @given(planar_rational_weights(), planar_rational_weights())
+    def test_planar_pairing_is_symmetric(self, psi, phi):
+        # In dimension 2 the aggregate is the mixed multiplicity of the two
+        # polyhedra, read off two different measures.
+        assert generalized_lelong(psi, phi) == generalized_lelong(phi, psi)
+
     def test_intro_example(self):
         assert generalized_lelong(HomogeneousPsh([(1, 0)]), PHI_STAR) == 3
 
