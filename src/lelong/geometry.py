@@ -74,12 +74,4 @@ def cone_point_member(point, generators) -> bool:
     n = len(x)
     if len(gens[0]) != n:
         raise InvalidInputError(f"point has dimension {n}, generators {len(gens[0])}")
-    return _cone_member(x, gens)
-
-
-def _cone_member(x, gens) -> bool:
-    """cone_point_member on a checked point and checked generators of its
-    dimension, as the package's own callers hold them."""
-    if any(c < 0 for c in x):
-        return False
-    return feasible(gens, x)
+    return all(c >= 0 for c in x) and feasible(gens, x)

@@ -8,8 +8,8 @@ a convex combination below x has sum 1, and if s = sum(lambda) >= 1
 then G (lambda / s) <= x / s <= x. The slack basis is feasible because
 x >= 0, so one primal simplex decides, with no phase one. Pivots are
 exact Fraction arithmetic, and Bland's rule (Bland, Math. Oper. Res. 2,
-1977) guarantees termination. The caller is
-``geometry.cone_point_member`` and, through it, the Monte Carlo oracle.
+1977) guarantees termination. The callers are
+``geometry.cone_point_member`` and the Monte Carlo oracle.
 """
 
 from __future__ import annotations

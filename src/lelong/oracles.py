@@ -28,8 +28,8 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import InvalidInputError, NotPrimaryError
-from .geometry import _cone_member
 from .ideals import PrimaryMonomialIdeal
+from .linprog import feasible
 from .newton import NewtonPolyhedron
 from .rationals import exponent_set, positive_direction
 from .weights import HomogeneousPsh, MonomialWeight
@@ -108,9 +108,11 @@ def covolume_monte_carlo(poly: NewtonPolyhedron, samples: int, seed: int) -> McE
     """Estimate the covolume by uniform sampling in the intercept box.
 
     Membership of each (exactly rationalized) sample is decided by the
-    exact core of cone_point_member on the checked generators, not on the
-    kernel's vertices, so the indicator itself is exact and independent
-    of the vertex reduction; only the estimate is statistical.
+    slack-basis LP ``linprog.feasible`` on the checked generators, not on
+    the kernel's vertices, so the indicator itself is exact and
+    independent of the vertex reduction; only the estimate is
+    statistical. Every sample lies in the box, so it is >= 0 as the LP
+    requires.
     Deterministic per (seed, samples) thanks to the counter-based Philox
     generator. A box whose volume is past the float range is rejected
     before any sample is drawn.
@@ -128,7 +130,7 @@ def covolume_monte_carlo(poly: NewtonPolyhedron, samples: int, seed: int) -> McE
     gens = poly.generators
     for row in u:
         x = tuple(Fraction(float(c)) * m for c, m in zip(row, box))
-        if not _cone_member(x, gens):
+        if not feasible(gens, x):
             outside += 1
     p = outside / samples
     std = math.sqrt(p * (1 - p) * samples / (samples - 1))

@@ -20,11 +20,14 @@ run on the checked set: the pure-power check reads the set's intercepts
 and the aggregates its integer points, so neither is derived again. The
 work is integer throughout, with one Fraction per output. Each atom's
 vertex coordinate -w_k/h is built from the integer facet normal w and
-the support h without a division. The aggregates of u read each atom as
-(w, h) and u on its integer points, so an atom costs integer dot
-products and one Fraction. The axis aggregates bring the ratios mass/h
-of all atoms to one common denominator Q, so each axis is one integer
-sum over Q.
+the support h without a division. Each pairing with the measure is
+written once. A psh's least value min_j <P_j, a> over its integer
+points P_j = L b_j, over L, is its directional number at a; with a = w
+and over L h, it is the psh's number at the atom of the facet (w, h),
+and the type is the least of those numbers. The aggregate brings the
+atoms' ratios mass/h to integers c over one common denominator Q, so
+each aggregate is one integer sum over Q L; the axis aggregates are
+those of the probes e_k.
 """
 
 from __future__ import annotations
@@ -94,10 +97,14 @@ class HomogeneousPsh:
                 best = val
         return NEG_INFINITY if best is None else best
 
+    def _least(self, a):
+        """min_j <P_j, a> over the integer points P_j = L b_j of the set."""
+        return min(sum(map(mul, p, a)) for p in self.generators.points)
+
     def directional_lelong(self, direction) -> Fraction:
         """min_j <b_j, a> for a strictly positive direction a."""
         a = positive_direction(direction, self.dimension)
-        return min(sum(map(mul, g, a)) for g in self.generators)
+        return self._least(a) / self.generators.scale
 
     def __repr__(self):
         gens = ", ".join(str(tuple(map(str, g))) for g in self.generators)
@@ -163,21 +170,32 @@ class MonomialWeight(HomogeneousPsh):
         return self._measure
 
     @cached_property
-    def _axis_aggregates(self) -> tuple[Fraction, ...]:
-        """Per axis k, the sum over atoms of mass * -t_k: the aggregate of
-        the axis probe e_k against the measure.
-
-        The atom of a facet with integer normal w and support h has
-        -t_k = w_k / h, so with the ratios mass / h brought to integers c
-        over one common denominator Q, axis k is sum c * w_k over Q.
-        """
+    def _mass_over_support(self) -> tuple[int, tuple[int, ...]]:
+        """The ratios mass / h of the atoms, in atom order, brought to
+        integers c over one common denominator Q, as (Q, c)."""
         facets = self.polyhedron.compact_facets
         ratios = [atom.mass / f.support for atom, f in zip(self.lelong_measure().atoms, facets)]
         common, (coefficients,) = integer_scaling([ratios])
-        return tuple(
-            Fraction(sum(map(mul, coefficients, column)), common)
-            for column in zip(*(f.normal for f in facets))
-        )
+        return common, coefficients
+
+    def _aggregate(self, least, scale) -> Fraction:
+        """Sum over atoms of mass * least / (scale * h), for per-atom
+        integers ``least`` in atom order: sum c * least over Q * scale.
+
+        A psh u with integer points P_j = L b_j has the number
+        min_j <P_j, w> / (L h) at the atom of the facet (w, h), so its
+        aggregate is this with least = u._least(w) and scale = L.
+        """
+        common, coefficients = self._mass_over_support
+        return Fraction(sum(map(mul, coefficients, least)), common * scale)
+
+    @cached_property
+    def _axis_aggregates(self) -> tuple[Fraction, ...]:
+        """Per axis k, the sum over atoms of mass * -t_k: the aggregate of
+        the axis probe e_k against the measure, whose number at the atom
+        of the facet (w, h) is w_k / h."""
+        columns = zip(*(f.normal for f in self.polyhedron.compact_facets))
+        return tuple(self._aggregate(column, 1) for column in columns)
 
     def extremal_direction(self) -> "DirectionalWeight":
         """The barycenter a of the normalized measure: a_k is the axis
@@ -189,31 +207,27 @@ class MonomialWeight(HomogeneousPsh):
     def is_flat(self) -> bool:
         """True iff the polyhedron has a single compact facet, i.e. the
         model is simplicial and its normalized aggregates equal types."""
-        return len(self.lelong_measure().atoms) == 1
+        return len(self.polyhedron.compact_facets) == 1
 
     def flatness_witness(self) -> HomogeneousPsh | None:
         """The first axis probe e_k whose normalized aggregate exceeds its
         relative type, or None when the weight is flat.
 
-        Against e_k the normalized aggregate is the k-th axis aggregate
-        over the residual mass, and the relative type is the least -t_k
-        over the atoms.
+        Against e_k the number at the atom t is -t_k, so the normalized
+        aggregate is the mass-weighted mean of -t_k and the relative type
+        its minimum. The masses are positive, so the mean exceeds the
+        minimum exactly on the axes where the atoms' coordinates differ;
+        distinct atoms differ on some axis, and a flat weight has one atom.
         """
-        if self.is_flat():
-            return None
-        tau, atoms, n = self.residual_mass(), self.lelong_measure().atoms, self.dimension
-        # The atoms are distinct points with positive masses, so on some
-        # axis the weighted mean exceeds the minimum.
-        k = next(
-            k
-            for k, total in enumerate(self._axis_aggregates)
-            if total > tau * min(-atom.vertex[k] for atom in atoms)
-        )
-        return HomogeneousPsh([tuple(int(i == k) for i in range(n))])
+        atoms = self.lelong_measure().atoms
+        for k in range(self.dimension):
+            if len({atom.vertex[k] for atom in atoms}) > 1:
+                return HomogeneousPsh([tuple(int(i == k) for i in range(self.dimension))])
+        return None
 
     def lojasiewicz_exponent(self) -> Fraction:
         """Largest axis intercept of the polyhedron; finite by validity."""
-        return max(self.polyhedron.axis_intercepts)
+        return max(self.generators.intercepts)
 
 
 class DirectionalWeight(MonomialWeight):
@@ -241,43 +255,31 @@ def _check_pair(u: HomogeneousPsh, phi: MonomialWeight):
         )
 
 
-def _atom_numbers(u: HomogeneousPsh, phi: MonomialWeight) -> list[Fraction]:
-    """u's directional number min_j <b_j, -t> at each atom t of phi, in
-    atom order.
-
-    The atom of a compact facet with integer normal w and support h is
-    t = -w/h; with u's generators scaled to integer points P_j by the lcm
-    L of their denominators, its number is min_j <P_j, w> / (L h).
-    """
-    _check_pair(u, phi)
-    scale, points = u.generators.scale, u.generators.points
-    numbers = []
-    for facet in phi.polyhedron.compact_facets:
-        least = min(sum(p * w for p, w in zip(point, facet.normal)) for point in points)
-        h = facet.support
-        numbers.append(Fraction(least * h.denominator, scale * h.numerator))
-    return numbers
-
-
 def generalized_lelong(u: HomogeneousPsh, phi: MonomialWeight, normalized: bool = False):
     """Aggregate of u's directional numbers against phi's measure.
 
     Sum over atoms (t, mass) of mass * min_j <b_j, -t>; with
     ``normalized`` the result is divided by phi's residual mass.
     """
-    numbers = _atom_numbers(u, phi)
-    atoms = phi.lelong_measure().atoms
-    total = sum((atom.mass * nu for atom, nu in zip(atoms, numbers)), Fraction(0))
+    _check_pair(u, phi)
+    least = [u._least(f.normal) for f in phi.polyhedron.compact_facets]
+    total = phi._aggregate(least, u.generators.scale)
     if normalized:
         return total / phi.residual_mass()
     return total
 
 
 def relative_type(u: HomogeneousPsh, phi: MonomialWeight) -> Fraction:
-    """min over atoms t of min_j <b_j, -t>.
+    """min over atoms t of min_j <b_j, -t>: at the atom of the facet
+    (w, h), u._least(w) / (L h) for u's scale L.
 
     The minimum over the whole level set {f_phi = -1} is attained at its
     extreme points because the objective is nondecreasing along the
     recession cone; the numeric oracle cross-checks this reduction.
     """
-    return min(_atom_numbers(u, phi))
+    _check_pair(u, phi)
+    scale = u.generators.scale
+    return min(
+        Fraction(u._least(f.normal) * f.support.denominator, scale * f.support.numerator)
+        for f in phi.polyhedron.compact_facets
+    )

@@ -9,8 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lelong.errors import InvalidInputError, NotPrimaryError
-from lelong.ideals import MonomialIdeal, PrimaryMonomialIdeal
+from lelong.ideals import (
+    MonomialIdeal,
+    PrimaryMonomialIdeal,
+    axis_multiplicities,
+    samuel_multiplicity,
+)
 from lelong.newton import NewtonPolyhedron
+from lelong.oracles import covolume_staircase_2d
 from lelong.rationals import exponent_set
 from lelong.weights import (
     DirectionalWeight,
@@ -330,6 +336,45 @@ def test_aggregates_match_directional_numbers(n):
     assert nonflat > 0 and scaled > 0
 
 
+def _section(generators, k):
+    """The generators with g_k = 0, with coordinate k dropped."""
+    return [g[:k] + g[k + 1 :] for g in generators if g[k] == 0]
+
+
+@pytest.mark.parametrize("n", range(3, 7))
+def test_axis_aggregates_by_divergence_theorem(n):
+    # The constant field e_k has no divergence, so its flux out of R_+^n
+    # minus P is 0. Out through the facet (w, h) it is the facet's area
+    # times w_k / |w|, which is n vol(cone) w_k / h; in through {x_k = 0}
+    # it is the covolume of P's section there, the polyhedron of the
+    # generators with g_k = 0. So axis aggregate k, the sum of
+    # mass * w_k / h, is (n-1)! times that covolume. At n = 3 the
+    # staircase sum takes it, sharing no code with the double description.
+    def section_mass(generators, k):
+        section = _section(generators, k)
+        if n == 3:
+            return 2 * covolume_staircase_2d(section)
+        return math.factorial(n - 1) * NewtonPolyhedron(section).covolume()
+
+    rng = random.Random(70 + n)
+    nonflat = 0
+    for _ in range(8):
+        phi = _rational_weight(rng, n)
+        nonflat += not phi.is_flat()
+        tau, direction = phi.residual_mass(), phi.extremal_direction().direction
+        for k in range(n):
+            want = section_mass(phi.generators, k)
+            assert generalized_lelong(HomogeneousPsh([unit(n, k)]), phi) == want
+            assert direction[k] * tau == want
+        i = random_primary_ideal(rng, n, max_exp=16)
+        nonflat += not i.weight.is_flat()
+        assert axis_multiplicities(i) == tuple(
+            samuel_multiplicity(PrimaryMonomialIdeal(_section(i.generators, k)))
+            for k in range(n)
+        )
+    assert nonflat > 0
+
+
 class TestRelativeType:
     def test_square_probe(self):
         assert relative_type(HomogeneousPsh([(2, 0)]), PHI_STAR) == Fraction(2, 3)
@@ -395,6 +440,12 @@ class TestFlatness:
         assert witness is not None
         nt = generalized_lelong(witness, PHI_STAR, normalized=True)
         assert nt > relative_type(witness, PHI_STAR)
+
+    def test_flat_reads_the_facets_without_the_triangulation(self):
+        for gens, flat in ((ASTAR, False), ([(1, 0), (0, 2)], True)):
+            phi = MonomialWeight(gens)
+            assert phi.is_flat() == flat
+            assert "_facet_cone_volumes" not in vars(phi.polyhedron)
 
     def test_maximal_ideal_weight_flat(self):
         assert M2.is_flat()
@@ -487,6 +538,11 @@ class TestLojasiewicz:
         phi = DirectionalWeight((1, 2))
         assert phi.lojasiewicz_exponent() == 1
         assert abs(_lojasiewicz_numeric(phi) - 1.0) < 1e-9
+
+    def test_reads_the_intercepts_without_the_hull(self):
+        phi = MonomialWeight(ASTAR)
+        assert phi.lojasiewicz_exponent() == 3
+        assert "polyhedron" not in vars(phi)
 
     def test_matches_numeric_supremum_randomized(self):
         rng = random.Random(16)
