@@ -16,10 +16,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 
 from .errors import InvalidInputError, NotPrimaryError
 from .weights import HomogeneousPsh, MonomialWeight, generalized_lelong
-from .rationals import exponent_set
+from .rationals import exponent_set, format_rational
 
 
 def _as_int(value: Fraction, what: str) -> int:
@@ -35,7 +36,8 @@ class MonomialIdeal:
         vecs = self._exponents = exponent_set(generators)
         if vecs.scale != 1:
             v = next(v for v in vecs if any(c.denominator != 1 for c in v))
-            raise InvalidInputError(f"ideal exponents must be integers, got {v}")
+            got = ", ".join(map(format_rational, v))
+            raise InvalidInputError(f"ideal exponents must be integers, got ({got})")
         self.dimension = len(vecs[0])
         self.generators = vecs.points
 
@@ -151,10 +153,13 @@ def closure_containment_check(
     p_k = containment_exponents(i, p)
     e = mixed_multiplicity(j, i)
     e_axes = axis_multiplicities(i)
+    # sum_k beta_k / p_k >= 1, times M = lcm(p_k).
+    m = math.lcm(*p_k)
+    steps = [m // q for q in p_k]
     rows = []
     for beta in j.generators:
         axis_bound = sum(b * ek for b, ek in zip(beta, e_axes)) >= p
-        closure = sum(Fraction(b, q) for b, q in zip(beta, p_k)) >= 1
+        closure = sum(map(mul, beta, steps)) >= m
         literal = any(b >= q for b, q in zip(beta, p_k))
         rows.append(GeneratorContainment(beta, axis_bound, closure, literal))
     return ContainmentReport(

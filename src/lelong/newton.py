@@ -23,16 +23,15 @@ Everything else is read off the rays and their zero sets:
   the vertices of their zero set as incidence;
 * the cone over a compact facet is cut by a pulling triangulation of
   the facet, whose faces are the maximal intersections of its vertex
-  set with the zero sets of the other rays, and its volume is the int
-  sum of |int_det| over the simplices on the integer points, made one
-  Fraction by dividing by L^n n!;
+  set with the zero sets of the other rays, and L^n n! times its volume
+  is the int sum of |int_det| over the simplices on the integer points;
 * the intercept on axis k, the least g_k over the generators that
   vanish off axis k, is read off the checked set, which computes it once.
 
 Covolume (the volume of the positive orthant minus the polyhedron) is
-the sum of the cone volumes over the compact facets. The kernel is
-integer throughout, from the checked exponent set to one Fraction per
-output: the support of each facet and the volume of each facet cone.
+the sum of the cone volumes over the compact facets: one Fraction, the
+int sum of the cone totals over L^n n!. The kernel is integer
+throughout, from the checked exponent set to one Fraction per output.
 """
 
 from __future__ import annotations
@@ -195,26 +194,26 @@ class NewtonPolyhedron:
 
     @cached_property
     def _facet_cone_volumes(self):
+        """Per compact facet, the int L^n n! times the volume of the cone
+        over it: the sum of |int_det| over the simplices of its
+        triangulation on the integer points."""
         n = self.dimension
         ids = self._vertex_ids
         on_vertices = sum(1 << j for j in ids)
         cuts = [tight & on_vertices for _, tight in self._rays]
         points = self.generators.points
-        denominator = self.generators.scale**n * math.factorial(n)
-        volumes = []
-        for f in self.compact_facets:
-            face = sum(1 << ids[i] for i in f.vertex_indices)
-            total = sum(
-                abs(int_det([points[j] for j in _bits(s)])) for s in _pull(face, n - 1, cuts)
-            )
-            volumes.append(Fraction(total, denominator))
-        return tuple(volumes)
+        faces = [sum(1 << ids[i] for i in f.vertex_indices) for f in self.compact_facets]
+        return tuple(
+            sum(abs(int_det([points[j] for j in _bits(s)])) for s in _pull(face, n - 1, cuts))
+            for face in faces
+        )
 
     def covolume(self) -> Fraction:
         """Volume of R_+^n minus the polyhedron, summed facet cone by cone."""
         if any(m == math.inf for m in self.axis_intercepts):
             raise NotPrimaryError("covolume is infinite: some axis is never reached")
-        return sum(self._facet_cone_volumes, Fraction(0))
+        denominator = self.generators.scale**self.dimension * math.factorial(self.dimension)
+        return Fraction(sum(self._facet_cone_volumes), denominator)
 
     def minkowski_sum(self, other: "NewtonPolyhedron") -> "NewtonPolyhedron":
         if self.dimension != other.dimension:

@@ -1,21 +1,21 @@
 """Exact rational parsing, formatting, and vector coercion.
 
-Every quantity in this package is a ``fractions.Fraction``, and this is
-the one module that turns outside values into Fractions: exponent
-vectors and sets, points, and directions all go through
-``parse_rational``, so every public entry accepts the same grammar
-(ints, Fractions and "p/q" strings). Floats, bools, Decimals and every
-other string are rejected rather than converted, so inexact values can
-never leak into the kernel.
+This is the one module that turns outside values into exact numbers:
+exponent vectors and sets, points and directions are all read here, so
+every public entry accepts the same grammar (ints, Fractions and "p/q"
+strings). Floats, bools, Decimals and every other string are rejected
+rather than converted, so inexact values can never leak into the kernel.
 
 Validation happens once, at the boundary. ``exponent_set`` checks its
-input and returns the set as a private tuple subclass; handed back in,
-that set is returned as is, so objects derived from a checked set
-(polyhedra, weights of ideals, the psh of an ideal) run on the trusted
-set without parsing it again. Any other input, an equal plain tuple
-included, is checked in full. The checked set also carries what its
-generators alone determine (the lcm of the denominators, the integer
-points and the pure-power intercepts), so each is derived once per set.
+input and returns the set as a private tuple subclass of Fraction
+vectors; handed back in, that set is returned as is, so objects derived
+from it (polyhedra, weights of ideals, the psh of an ideal) run on the
+trusted set without parsing it again. A list or tuple of ints is checked
+as ints and is its own integer point; any other vector goes through
+``exponent_vector`` and ``parse_rational``, which raise every error. The
+checked set carries what its generators alone determine (the lcm of the
+denominators, the integer points and the pure-power intercepts), so
+each is derived once per set, from the points.
 """
 
 from __future__ import annotations
@@ -44,6 +44,10 @@ def parse_rational(value) -> Fraction:
     MAX_DIGITS digits per numeral: no sign "+", spaces, underscores,
     decimal points, exponents or non-ASCII digits.
     """
+    if type(value) is Fraction:
+        return value
+    if type(value) is int:
+        return Fraction(value)
     if isinstance(value, bool):
         raise InvalidInputError(f"expected a rational number, got {value!r}")
     if isinstance(value, (int, Fraction)):
@@ -84,7 +88,7 @@ def vector(coords, dimension: int | None = None) -> tuple[Fraction, ...]:
 def exponent_vector(coords, dimension: int | None = None) -> tuple[Fraction, ...]:
     """A vector whose entries must in addition be nonnegative."""
     v = vector(coords, dimension)
-    if any(c < 0 for c in v):
+    if any(c.numerator < 0 for c in v):
         raise InvalidInputError(f"exponents must be nonnegative, got {coords!r}")
     return v
 
@@ -92,7 +96,7 @@ def exponent_vector(coords, dimension: int | None = None) -> tuple[Fraction, ...
 def positive_direction(coords, dimension: int | None = None) -> tuple[Fraction, ...]:
     """A vector whose entries must in addition be strictly positive."""
     v = vector(coords, dimension)
-    if any(c <= 0 for c in v):
+    if any(c.numerator <= 0 for c in v):
         raise InvalidInputError("direction must be componentwise positive")
     return v
 
@@ -117,14 +121,14 @@ class _ExponentSet(tuple):
         pure power lies on that axis.
         """
         least = [math.inf] * len(self[0])
-        for g in self:
-            axes = [k for k, c in enumerate(g) if c]
+        for g, p in zip(self, self.points):
+            axes = [k for k, c in enumerate(p) if c]
             if not axes:
-                return tuple(g)
+                return g
             if len(axes) == 1:
                 k = axes[0]
-                least[k] = min(least[k], g[k])
-        return tuple(least)
+                least[k] = min(least[k], p[k])
+        return tuple(c if c == math.inf else Fraction(c, self.scale) for c in least)
 
 
 def exponent_set(vectors) -> _ExponentSet:
@@ -134,7 +138,16 @@ def exponent_set(vectors) -> _ExponentSet:
     """
     if type(vectors) is _ExponentSet:
         return vectors
-    vecs = [exponent_vector(v) for v in vectors]
+    vecs = []
+    rational = False
+    for v in vectors:
+        if type(v) in (tuple, list) and MIN_DIMENSION <= len(v) <= MAX_DIMENSION and not any(
+            type(c) is not int or c < 0 for c in v
+        ):
+            vecs.append(tuple(v))
+        else:
+            vecs.append(exponent_vector(v))
+            rational = True
     if not vecs:
         raise InvalidInputError("at least one generator is required")
     if len({len(v) for v in vecs}) != 1:
@@ -142,10 +155,11 @@ def exponent_set(vectors) -> _ExponentSet:
     # Scaling by L > 0 is injective and keeps the order, so the integer
     # points L*v dedupe and sort the set as the vectors themselves would,
     # and dropping duplicates keeps the set of denominators, hence L.
-    scale, points = integer_scaling(vecs)
-    unique = dict(zip(points, vecs))
-    order = sorted(unique)
-    checked = _ExponentSet(unique[p] for p in order)
+    scale, points = integer_scaling(vecs) if rational else (1, vecs)
+    order = sorted(set(points))
+    # The vectors are the points over L: one Fraction per distinct entry.
+    values = {c: Fraction(c, scale) for c in {c for p in order for c in p}}
+    checked = _ExponentSet(tuple(map(values.__getitem__, p)) for p in order)
     checked.scale = scale
     checked.points = tuple(order)
     return checked

@@ -154,13 +154,14 @@ class MonomialWeight(HomogeneousPsh):
 
     @cached_property
     def _measure(self) -> LelongMeasure:
-        nfact = math.factorial(self.dimension)
         poly = self.polyhedron
+        # n! times the cone volume: the int total over L^n.
+        denominator = poly.generators.scale**self.dimension
         atoms = []
-        for facet, vol in zip(poly.compact_facets, poly._facet_cone_volumes):
+        for facet, total in zip(poly.compact_facets, poly._facet_cone_volumes):
             h = facet.support
             t = tuple(Fraction(-c * h.denominator, h.numerator) for c in facet.normal)
-            atoms.append(LelongAtom(t, nfact * vol))
+            atoms.append(LelongAtom(t, Fraction(total, denominator)))
         return LelongMeasure(tuple(atoms))
 
     def lelong_measure(self) -> LelongMeasure:

@@ -97,3 +97,9 @@ def polytope_volume(points) -> Fraction:
     if any(len(p) != n for p in pts):
         raise InvalidInputError("polytope mixes dimensions")
     return _volume(pts, n)
+
+
+def closure_member(beta, p_k) -> bool:
+    """Whether beta lies in the integral closure of the ideal of the pure
+    powers z_k^(p_k): sum_k beta_k / p_k >= 1, summed as Fractions."""
+    return sum(Fraction(b, q) for b, q in zip(beta, p_k)) >= 1

@@ -21,6 +21,7 @@ from lelong.ideals import (
 )
 from lelong.oracles import mixed_multiplicity_polarization
 
+from reference import closure_member
 from support import ASTAR, random_ideal, random_primary_ideal, unit
 
 I_STAR = PrimaryMonomialIdeal(ASTAR)
@@ -47,7 +48,7 @@ class TestConstruction:
         with pytest.raises(InvalidInputError) as info:
             cls(gens)
         assert str(info.value) == (
-            "ideal exponents must be integers, got (Fraction(0, 1), Fraction(1, 2))"
+            "ideal exponents must be integers, got (0, 1/2)"
         )
 
     def test_duplicates_removed(self):
@@ -228,6 +229,21 @@ class TestContainmentReport:
             assert report.all_axis_bound
             checked += 1
         assert checked > 30
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_closure_member_matches_the_fraction_form(self, n):
+        # The report decides sum_k beta_k M/p_k >= M on ints, M = lcm(p_k).
+        rng = random.Random(60 + n)
+        seen = set()
+        for _ in range(30):
+            i = random_primary_ideal(rng, n)
+            j = random_ideal(rng, n)
+            p = rng.randint(1, 12 * max(axis_multiplicities(i)))
+            report = closure_containment_check(j, i, p)
+            for g in report.generators:
+                assert g.closure_member == closure_member(g.exponent, report.exponents)
+                seen.add(g.closure_member)
+        assert seen == {True, False}
 
     def test_closure_implies_axis_bound(self):
         rng = random.Random(36)

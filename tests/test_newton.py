@@ -109,6 +109,23 @@ class TestCovolume:
             phi = random_weight(rng, 2, max_exp=12)
             assert phi.polyhedron.covolume() == covolume_staircase_2d(phi.generators)
 
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_covolume_is_the_sum_of_the_cone_volumes(self, n):
+        # covolume() is one Fraction of the sum of the int cone totals;
+        # the same cones summed as Fractions, on sets with L = 1..4.
+        rng = random.Random(50 + n)
+        for _ in range(8):
+            scale = rng.randint(1, 4)
+            gens = random_weight(rng, n, max_exp=9).generators
+            poly = NewtonPolyhedron([tuple(c / scale for c in g) for g in gens])
+            assert poly.generators.scale == scale
+            denominator = scale**n * math.factorial(n)
+            volumes = [Fraction(t, denominator) for t in poly._facet_cone_volumes]
+            assert type(poly.covolume()) is Fraction
+            assert poly.covolume() == sum(volumes, Fraction(0))
+            masses = [a.mass for a in MonomialWeight(poly.generators).lelong_measure().atoms]
+            assert masses == [math.factorial(n) * v for v in volumes]
+
     def test_at_least_one_facet_for_weights(self):
         rng = random.Random(13)
         for _ in range(20):

@@ -7,10 +7,12 @@ import math
 import operator
 import random
 from decimal import Decimal
+from enum import IntEnum
 from fractions import Fraction
 
 import pytest
 
+from lelong import rationals
 from lelong.errors import InvalidInputError
 from lelong.geometry import cone_point_member
 from lelong.oracles import directional_lelong_numeric, quasi_triangle_check
@@ -165,3 +167,99 @@ def test_checked_set_carries_what_its_generators_define(n):
 def test_intercepts_edge_cases(generators, intercepts):
     checked = exponent_set(generators)
     assert checked.intercepts == intercepts == _intercepts_by_definition(checked)
+
+
+def _spell(rng, c):
+    """The Fraction ``c`` as an int when it is integral and ``rng`` says
+    so, else as a Fraction or an unreduced "p/q" string."""
+    k = rng.randint(1, 3)
+    return rng.choice(
+        [int(c)] * (c.denominator == 1) + [c, f"{c.numerator * k}/{c.denominator * k}"]
+    )
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_int_path_equals_the_general_path(n, monkeypatch):
+    # Vectors of ints are their own integer points and skip exponent_vector;
+    # the same sets as Fractions, as "p/q" strings or spelled entry by entry
+    # at random go through it.
+    calls = []
+    general = rationals.exponent_vector
+    monkeypatch.setattr(rationals, "exponent_vector", lambda v: calls.append(v) or general(v))
+    rng = random.Random(110 + n)
+    for k in range(40):
+        exact = [tuple(map(Fraction, v)) for v in _random_rational_set(rng, n)]
+        if k % 2:
+            scale = math.lcm(*(c.denominator for v in exact for c in v))
+            exact = [tuple(c * scale for c in v) for v in exact]
+        as_ints = [
+            tuple(map(int, v)) if all(c.denominator == 1 for c in v) else v for v in exact
+        ]
+        calls.clear()
+        first = exponent_set(as_ints)
+        assert len(calls) == sum(v is w for v, w in zip(exact, as_ints))
+        forms = [
+            exact,
+            [tuple(f"{c.numerator}/{c.denominator}" for c in v) for v in exact],
+            [rng.choice([tuple, list])(_spell(rng, c) for c in v) for v in exact],
+        ]
+        for form in forms:
+            checked = exponent_set(form)
+            assert checked == first
+            assert all(type(c) is Fraction for v in checked for c in v)
+            assert (checked.scale, checked.points) == (first.scale, first.points)
+            assert checked.intercepts == first.intercepts
+            assert list(map(type, checked.intercepts)) == list(map(type, first.intercepts))
+        assert all(type(c) is Fraction for c in first.intercepts if c != math.inf)
+
+
+@pytest.mark.parametrize("kind", [list, tuple])
+@pytest.mark.parametrize(
+    "vectors, message",
+    [
+        ([[1, -2], [3, 0]], "exponents must be nonnegative, got [1, -2]"),
+        ([[True, 2], [3, 0]], "expected a rational number, got True"),
+        ([[1]], "supported dimensions are 2..6, got 1"),
+        ([[1] * 7], "supported dimensions are 2..6, got 7"),
+        ([[1] * 6 + [-1]], "supported dimensions are 2..6, got 7"),
+        ([[1, 2], [1, 2, 3]], "generators mix dimensions"),
+        ([], "at least one generator is required"),
+        (
+            [[1, 2], [1, "x"]],
+            "not a valid rational: 'x' (expected an integer or 'p/q', at most 4300 digits each)",
+        ),
+        ([[1, 2], [0, -1, 1]], "exponents must be nonnegative, got [0, -1, 1]"),
+    ],
+    ids=["negative", "bool", "one", "seven", "seven-negative", "mixed-lengths", "empty",
+         "bad-after-good", "negative-after-good"],
+)
+def test_int_path_keeps_every_message(vectors, message, kind):
+    # A negative vector is named as given: in brackets for a list, in
+    # parentheses for a tuple.
+    if kind is tuple:
+        message = message.translate(str.maketrans("[]", "()"))
+    with pytest.raises(InvalidInputError) as info:
+        exponent_set(kind(kind(v) for v in vectors))
+    assert str(info.value) == message
+
+
+class _Three(IntEnum):
+    THREE = 3
+
+
+class _Half(Fraction):
+    pass
+
+
+@pytest.mark.parametrize("flag", [True, False])
+def test_parse_rational_rejects_bools(flag):
+    with pytest.raises(InvalidInputError, match=f"^expected a rational number, got {flag}$"):
+        parse_rational(flag)
+
+
+@pytest.mark.parametrize("value", [_Three.THREE, _Half(1, 2)], ids=["IntEnum", "Fraction-subclass"])
+def test_parse_rational_returns_plain_fractions(value):
+    q = parse_rational(value)
+    assert type(q) is Fraction and q == value
+    (v,) = exponent_set([(value, 0)])
+    assert all(type(c) is Fraction for c in v) and v == (value, 0)
