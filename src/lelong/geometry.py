@@ -1,7 +1,7 @@
 """Exact geometric predicates.
 
 The module provides the one determinant and membership in a Newton
-polyhedron, decided by the slack-basis LP ``linprog.feasible``. The
+polyhedron, decided by the integer slack-basis LP ``linprog.feasible``. The
 determinant is ``int_det``: Bareiss fraction-free elimination on integer
 rows, in ints from start to finish, which the facet-cone volumes call
 directly and ``hyperplane_normal`` calls on its points scaled once to
@@ -67,7 +67,7 @@ def cone_point_member(point, generators) -> bool:
     True iff there are lambda_j >= 0 with sum 1 and
     sum_j lambda_j g_j <= point componentwise, for generators that
     ``exponent_set`` accepts. A point with a negative coordinate is
-    outside; for any other the exact LP ``linprog.feasible`` decides.
+    outside; for any other the integer LP ``linprog.feasible`` decides.
     """
     x = vector(point)
     gens = exponent_set(generators)

@@ -7,7 +7,7 @@ Mixed multiplicities are computed through the measure aggregation path
 (one code path, verified independently by the Minkowski polarization
 oracle). An ideal builds its psh and weight on its checked exponent
 set, whose integer points (lcm L = 1) are its int generators and whose
-intercepts its pure-power check reads.
+record of unreached axes its pure-power check reads.
 """
 
 from __future__ import annotations
@@ -54,11 +54,11 @@ class PrimaryMonomialIdeal(MonomialIdeal):
 
     def __init__(self, generators):
         super().__init__(generators)
-        intercepts = self._exponents.intercepts
-        if 0 in intercepts:
+        vecs = self._exponents
+        if not any(vecs.points[0]):
             raise NotPrimaryError("the ideal contains a unit")
-        if math.inf in intercepts:
-            raise NotPrimaryError(f"no pure power of variable {intercepts.index(math.inf)}")
+        if vecs.unreached:
+            raise NotPrimaryError(f"no pure power of variable {vecs.unreached[0]}")
 
     @cached_property
     def weight(self) -> MonomialWeight:

@@ -210,7 +210,7 @@ class NewtonPolyhedron:
 
     def covolume(self) -> Fraction:
         """Volume of R_+^n minus the polyhedron, summed facet cone by cone."""
-        if any(m == math.inf for m in self.axis_intercepts):
+        if self.generators.unreached:
             raise NotPrimaryError("covolume is infinite: some axis is never reached")
         denominator = self.generators.scale**self.dimension * math.factorial(self.dimension)
         return Fraction(sum(self._facet_cone_volumes), denominator)

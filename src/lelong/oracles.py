@@ -2,15 +2,15 @@
 
 Each oracle recomputes a kernel quantity by different means: an exact
 2-D staircase sum for covolumes, seeded Monte Carlo volume estimates
-whose every sample is decided exactly by the membership LP of
-``linprog`` on the checked generators (no kernel code, not even the
-vertex reduction), polarization over ``NewtonPolyhedron.minkowski_sum``
-for mixed multiplicities, direct liminf sampling for directional numbers
-and relative types, and a sampled quasi-triangle inequality for
-directional weights. Floating-point oracles report values and
-tolerances; they never feed back into exact results. Sample counts,
-seeds and grid depths must be ints, and the radius of the directional
-oracle and the quasi-triangle constant finite reals; anything else is an
+whose every sample is an int vector decided exactly by the integer
+membership LP of ``linprog`` on the checked generators (no kernel code,
+not even the vertex reduction), polarization over
+``NewtonPolyhedron.minkowski_sum`` for mixed multiplicities, direct
+liminf sampling for directional numbers and relative types, and a
+sampled quasi-triangle inequality for directional weights.
+Floating-point oracles report values and tolerances; they never feed
+back into exact results. Sample counts, seeds and grid depths must be
+ints, and the quasi-triangle constant a finite real; anything else is an
 InvalidInputError. So is an input a float cannot hold: every exact value
 becomes a float through ``_float``, which rejects one past the float
 range, and a result that overflows is rejected too. Only the two sampled
@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -107,39 +106,30 @@ class McEstimate:
 def covolume_monte_carlo(poly: NewtonPolyhedron, samples: int, seed: int) -> McEstimate:
     """Estimate the covolume by uniform sampling in the intercept box.
 
-    Membership of each (exactly rationalized) sample is decided by the
-    slack-basis LP ``linprog.feasible`` on the checked generators, not on
-    the kernel's vertices, so the indicator itself is exact and
-    independent of the vertex reduction; only the estimate is
-    statistical. Every sample lies in the box, so it is >= 0 as the LP
-    requires.
-    Deterministic per (seed, samples) thanks to the counter-based Philox
-    generator. A box whose volume is past the float range is rejected
-    before any sample is drawn.
+    Membership is decided by the LP ``linprog.feasible`` on the checked
+    generators, not on the kernel's vertices, so the indicator is exact
+    and independent of the vertex reduction; only the estimate is
+    statistical. A uniform double is k / 2^53 for an int k, so a sample
+    scaled by 2^53 L is the int vector k * (L box) >= 0, tested against
+    the integer points shifted left by 53 bits. Deterministic per (seed,
+    samples) thanks to the counter-based Philox generator. A box whose
+    volume is past the float range is rejected before any sample is drawn.
     """
     import numpy as np
 
     _check_sampling(samples, seed, 1000)
-    box = poly.axis_intercepts
-    if any(m == math.inf for m in box):
-        raise NotPrimaryError("covolume is infinite: some axis is never reached")
-    box_volume = _float("the sample box volume", math.prod(box))
-    rng = np.random.Generator(np.random.Philox(seed))
-    u = rng.random((samples, poly.dimension))
-    outside = 0
     gens = poly.generators
-    for row in u:
-        x = tuple(Fraction(float(c)) * m for c, m in zip(row, box))
-        if not feasible(gens, x):
-            outside += 1
+    if gens.unreached:
+        raise NotPrimaryError("covolume is infinite: some axis is never reached")
+    box_volume = _float("the sample box volume", math.prod(poly.axis_intercepts))
+    rng = np.random.Generator(np.random.Philox(seed))
+    ks = np.ldexp(rng.random((samples, poly.dimension)), 53).astype(np.int64).tolist()
+    top = [int(m * gens.scale) for m in poly.axis_intercepts]
+    columns = [[c << 53 for c in point] for point in gens.points]
+    outside = sum(not feasible(columns, [k * m for k, m in zip(row, top)]) for row in ks)
     p = outside / samples
     std = math.sqrt(p * (1 - p) * samples / (samples - 1))
-    return McEstimate(
-        value=box_volume * p,
-        standard_error=box_volume * std / math.sqrt(samples),
-        samples=samples,
-        seed=seed,
-    )
+    return McEstimate(box_volume * p, box_volume * std / math.sqrt(samples), samples, seed)
 
 
 def _slope_at_zero(values):
@@ -180,15 +170,14 @@ def mixed_multiplicity_polarization(
     return _slope_at_zero(values) / n
 
 
-def directional_lelong_numeric(u: HomogeneousPsh, direction, r: float = -1000.0) -> float:
-    """f_u(r a) / r in floating point; exact for homogeneous data.
+def directional_lelong_numeric(u: HomogeneousPsh, direction) -> float:
+    """f_u(r a) / r in floating point at r = -1000; exact for homogeneous
+    data, where it does not depend on r.
 
     Exponents and direction entries past the float range, and an f_u(r a)
     that overflows, raise InvalidInputError.
     """
-    # A real r <= -100 is finite as a float iff r >= -max; nan fails both.
-    if not isinstance(r, numbers.Real) or not -sys.float_info.max <= r <= -100:
-        raise InvalidInputError(f"need a finite real r <= -100, got {r!r}")
+    r = -1000.0
     a = [_float("a direction entry", c) for c in positive_direction(direction, u.dimension)]
     gens = [[_float("an exponent", c) for c in g] for g in u.generators]
     best = max(sum(g * r * c for g, c in zip(gen, a)) for gen in gens)

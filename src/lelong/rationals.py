@@ -105,8 +105,8 @@ class _ExponentSet(tuple):
     """An exponent set that ``exponent_set`` has checked: Fraction vectors,
     nonnegative, deduplicated, sorted, nonempty, of one dimension in
     MIN_DIMENSION..MAX_DIMENSION. It carries ``scale``, the lcm L of the
-    denominators, ``points``, the integer points L*v in set order, and
-    ``intercepts``."""
+    denominators, ``points``, the integer points L*v in sorted order (the
+    zero vector first, when it is one), ``intercepts`` and ``unreached``."""
 
     scale: int
     points: tuple[tuple[int, ...], ...]
@@ -118,7 +118,7 @@ class _ExponentSet(tuple):
 
         This is the intercept of conv(generators) + R_+^n on axis k. A 0
         entry means the zero vector is a generator; an inf entry means no
-        pure power lies on that axis.
+        pure power lies on that axis: the one ``math.inf`` object.
         """
         least = [math.inf] * len(self[0])
         for g, p in zip(self, self.points):
@@ -128,7 +128,12 @@ class _ExponentSet(tuple):
             if len(axes) == 1:
                 k = axes[0]
                 least[k] = min(least[k], p[k])
-        return tuple(c if c == math.inf else Fraction(c, self.scale) for c in least)
+        return tuple(c if c is math.inf else Fraction(c, self.scale) for c in least)
+
+    @cached_property
+    def unreached(self):
+        """The axes without a pure power, read off the intercepts by identity."""
+        return tuple(k for k, c in enumerate(self.intercepts) if c is math.inf)
 
 
 def exponent_set(vectors) -> _ExponentSet:

@@ -16,11 +16,11 @@ exponent set:
 
 Generators are checked once, when an object is built from outside data,
 and the polyhedron, the extremal direction's weight and the aggregates
-run on the checked set: the pure-power check reads the set's intercepts
-and the aggregates its integer points, so neither is derived again. The
-work is integer throughout, with one Fraction per output. Each atom's
-vertex coordinate -w_k/h is built from the integer facet normal w and
-the support h without a division. Each pairing with the measure is
+run on the checked set: the pure-power check reads the set's unreached
+axes and the aggregates its integer points, so neither is derived again.
+The work is integer throughout, with one Fraction per output. Each
+atom's vertex coordinate -w_k/h is built from the integer facet normal w
+and the support h without a division. Each pairing with the measure is
 written once. A psh's least value min_j <P_j, a> over its integer
 points P_j = L b_j, over L, is its directional number at a; with a = w
 and over L h, it is the psh's number at the atom of the facet (w, h),
@@ -138,11 +138,11 @@ class MonomialWeight(HomogeneousPsh):
 
     def __init__(self, generators):
         super().__init__(generators)
-        intercepts = self.generators.intercepts
-        if 0 in intercepts:
+        gens = self.generators
+        if not any(gens.points[0]):
             raise NotPrimaryError("a zero exponent vector forces zero residual mass")
-        if math.inf in intercepts:
-            raise NotPrimaryError(f"no pure power on axis {intercepts.index(math.inf)}")
+        if gens.unreached:
+            raise NotPrimaryError(f"no pure power on axis {gens.unreached[0]}")
 
     @cached_property
     def _residual_mass(self) -> Fraction:

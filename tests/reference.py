@@ -6,7 +6,9 @@ brute-force supporting-hyperplane enumeration. The Newton polyhedron
 kernel triangulates its own facets and calls none of this: the tests
 use it to check the facet-cone volumes, and brute force is adequate at
 the small point sets they use it on. ``simplex_volume`` is the volume of
-one simplex from one determinant.
+one simplex from one determinant. ``fraction_feasible`` is the
+cone-membership simplex in exact Fraction arithmetic, which the
+fraction-free ``linprog.feasible`` must agree with.
 """
 
 from __future__ import annotations
@@ -103,3 +105,40 @@ def closure_member(beta, p_k) -> bool:
     """Whether beta lies in the integral closure of the ideal of the pure
     powers z_k^(p_k): sum_k beta_k / p_k >= 1, summed as Fractions."""
     return sum(Fraction(b, q) for b, q in zip(beta, p_k)) >= 1
+
+
+def fraction_feasible(columns, x) -> bool:
+    """True iff some lambda >= 0 with sum(lambda) >= 1 has
+    sum_j lambda_j columns[j] <= x, for x >= 0.
+
+    Maximizes sum(lambda) from the slack basis until it reaches 1. The
+    lowest column with a negative reduced cost enters, and ratio ties
+    leave by the lowest basis index. An unbounded column has no positive
+    entry: the zero generator, which every x >= 0 dominates.
+    """
+    n, m = len(x), len(columns)
+    # Fraction(...) on every entry: with int columns, v / piv below would
+    # otherwise be float division.
+    tab = [
+        [Fraction(g[i]) for g in columns] + [Fraction(k == i) for k in range(n)] + [Fraction(x[i])]
+        for i in range(n)
+    ]
+    # Reduced costs of min -sum(lambda); the last cell is sum(lambda).
+    tab.append([Fraction(-1)] * m + [Fraction(0)] * (n + 1))
+    basis = list(range(m, m + n))
+    while tab[-1][-1] < 1:
+        col = next((j for j in range(m + n) if tab[-1][j] < 0), None)
+        if col is None:
+            return False
+        rows = [i for i in range(n) if tab[i][col] > 0]
+        if not rows:
+            return True
+        row = min(rows, key=lambda i: (tab[i][-1] / tab[i][col], basis[i]))
+        piv = tab[row][col]
+        prow = tab[row] = [v / piv for v in tab[row]]
+        for i, r in enumerate(tab):
+            f = r[col]
+            if i != row and f:
+                tab[i] = [a - f * b for a, b in zip(r, prow)]
+        basis[row] = col
+    return True

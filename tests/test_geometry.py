@@ -14,7 +14,7 @@ from lelong.geometry import cone_point_member, hyperplane_normal, int_det
 from lelong.linprog import feasible
 from lelong.newton import NewtonPolyhedron
 
-from reference import polytope_volume, simplex_volume
+from reference import fraction_feasible, polytope_volume, simplex_volume
 from support import ASTAR, random_primary_ideal
 
 
@@ -231,3 +231,39 @@ class TestFeasible:
         # In floats, 2 - 1e-17 rounds to 2 and x lands on the boundary.
         x = (Fraction(1), 2 - Fraction(1, 10**17))
         assert not feasible([(3, 0), (0, 3)], x)
+
+    def test_agrees_with_fraction_simplex(self):
+        # The fraction-free pivots against the Fraction tableau, seeded at
+        # n = 2..6: points on conv(G), where sum(lambda) reaches exactly 1
+        # and ratios tie (a column itself ties in every row), points
+        # scaled just off it, random points, zero columns, and entries
+        # over several distinct denominators.
+        rng = random.Random(1968)
+        dens = (1, 2, 3, 4, 5, 7, 9)
+        answers = []
+        for n in range(2, 7):
+            for _ in range(80):
+                cols = [
+                    tuple(Fraction(rng.randint(0, 8), rng.choice(dens)) for _ in range(n))
+                    for _ in range(rng.randint(1, 6))
+                ]
+                if rng.random() < 0.1:
+                    cols.insert(rng.randint(0, len(cols)), (0,) * n)
+                weights = [rng.randint(0, 3) for _ in cols]
+                weights[rng.randrange(len(cols))] += 1
+                on_hull = [
+                    sum(w * c[k] for w, c in zip(weights, cols)) / sum(weights) for k in range(n)
+                ]
+                near = Fraction(rng.choice((-1, 1)), rng.choice((7, 1000, 10**9)))
+                points = [
+                    on_hull,
+                    rng.choice(cols),
+                    [c * (1 + near) for c in on_hull],
+                    [max(c + rng.choice((-near, 0, near)), 0) for c in on_hull],
+                    [Fraction(rng.randint(0, 16), rng.choice(dens)) for _ in range(n)],
+                ]
+                for x in points:
+                    answer = feasible(cols, x)
+                    assert answer == fraction_feasible(cols, x), (cols, x)
+                    answers.append(answer)
+        assert answers.count(True) > 600 and answers.count(False) > 300

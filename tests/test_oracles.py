@@ -94,8 +94,8 @@ class TestMonteCarlo:
             covolume_monte_carlo(NewtonPolyhedron([(10**400, 0), (0, 1)]), 1000, seed=0)
 
     def test_estimates_pinned(self):
-        # Recorded with the earlier phase-one membership LP. The indicator
-        # is exact, so a correct membership test reproduces every estimate
+        # Recorded with earlier Fraction membership LPs. The indicator is
+        # exact, so a correct membership test reproduces every estimate
         # bit for bit.
         assert repr(covolume_monte_carlo(NewtonPolyhedron(ASTAR), 1000, seed=11).value) == (
             "3.2489999999999997"
@@ -105,6 +105,13 @@ class TestMonteCarlo:
         for n, samples in ((3, 1000), (4, 1000), (5, 2000), (6, 4000)):
             poly = NewtonPolyhedron(random_primary_ideal(rng, n, max_exp=6).generators)
             assert repr(covolume_monte_carlo(poly, samples, seed=n).value) == expected[n]
+        # Rational generators (L = 6), so the samples are scaled by 2^53 L.
+        third = NewtonPolyhedron(
+            [(Fraction(3, 2), 0, 0), (0, Fraction(5, 3), 0), (0, 0, 2),
+             (Fraction(1, 2), Fraction(1, 3), Fraction(1, 2))]
+        )
+        assert third.generators.scale == 6
+        assert repr(covolume_monte_carlo(third, 1000, seed=3).value) == "0.665"
 
 
 class TestPolarization:
@@ -155,10 +162,10 @@ class TestPolarization:
 class TestNumericDirectional:
     def test_single_monomial(self):
         u = HomogeneousPsh([(1, 1)])
-        assert abs(directional_lelong_numeric(u, (1, 2), r=-1000.0) - 3.0) < 1e-9
+        assert abs(directional_lelong_numeric(u, (1, 2)) - 3.0) < 1e-9
 
     def test_phi_star_diagonal(self):
-        assert abs(directional_lelong_numeric(PHI_STAR, (1, 1), r=-1000.0) - 2.0) < 1e-9
+        assert abs(directional_lelong_numeric(PHI_STAR, (1, 1)) - 2.0) < 1e-9
 
     def test_two_powers(self):
         u = HomogeneousPsh([(2, 0), (0, 2)])
@@ -174,29 +181,16 @@ class TestNumericDirectional:
             exact = float(u.directional_lelong(a))
             assert abs(directional_lelong_numeric(u, a) - exact) < 1e-8 * max(1.0, exact)
 
-    def test_r_guard(self):
-        with pytest.raises(InvalidInputError):
-            directional_lelong_numeric(PHI_STAR, (1, 1), r=-10.0)
-
-    @pytest.mark.parametrize(
-        "r", [-math.inf, math.nan, "-1000", -10**400], ids=["-inf", "nan", "str", "-10**400"]
-    )
-    def test_r_must_be_finite_real(self, r):
-        with pytest.raises(InvalidInputError):
-            directional_lelong_numeric(PHI_STAR, (1, 1), r=r)
-
     def test_exponent_past_float_range(self):
         u = HomogeneousPsh([(10**400, 0), (0, 1)])
         with pytest.raises(InvalidInputError, match="too large for a float"):
             directional_lelong_numeric(u, (1, 1))
 
     def test_overflowing_value_rejected(self):
-        # Every g r a_k overflows to -inf at r = -1e308; the exact value is 2.
+        # Each exponent is a float, but g r = -1e309 overflows to -inf.
+        u = HomogeneousPsh([(10**306, 0), (0, 10**306)])
         with pytest.raises(InvalidInputError, match="overflows"):
-            directional_lelong_numeric(PHI_STAR, (1, 1), r=-1e308)
-
-    def test_exact_r_accepted(self):
-        assert abs(directional_lelong_numeric(PHI_STAR, (1, 1), r=Fraction(-1000)) - 2.0) < 1e-9
+            directional_lelong_numeric(u, (1, 1))
 
 
 class TestNumericRelativeType:
