@@ -1,15 +1,15 @@
 """Exact geometric predicates.
 
 The module provides the one determinant and membership in a Newton
-polyhedron, decided by the integer slack-basis LP ``linprog.feasible``. The
-determinant is ``int_det``: Bareiss fraction-free elimination on integer
-rows, in ints from start to finish, which the facet-cone volumes call
-directly and ``hyperplane_normal`` calls on its points scaled once to
-integers. ``cone_point_member`` coerces its point with
-``rationals.vector`` and its generators with ``rationals.exponent_set``,
-so it takes the package's one rational grammar, dimensions 2..6 and the
-exponent-set rules. The brute-force volume reference for the facet-cone
-volumes is ``tests/reference.py``.
+polyhedron. The determinant is ``int_det``: Bareiss fraction-free
+elimination on integer rows, in ints from start to finish, which the
+facet-cone volumes call directly and ``hyperplane_normal`` calls on its
+points scaled once to integers. ``cone_point_member`` coerces its point
+with ``rationals.vector`` and its generators with ``exponent_set`` (one
+rational grammar, dimensions 2..6, the exponent-set rules), then scales
+both together once for the int-only LP ``linprog.feasible``, whose other
+caller, the Monte Carlo oracle, builds its ints itself. The brute-force
+volume reference for the facet-cone volumes is ``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -67,11 +67,12 @@ def cone_point_member(point, generators) -> bool:
     True iff there are lambda_j >= 0 with sum 1 and
     sum_j lambda_j g_j <= point componentwise, for generators that
     ``exponent_set`` accepts. A point with a negative coordinate is
-    outside; for any other the integer LP ``linprog.feasible`` decides.
+    outside; for any other the integer LP decides, on both scaled once.
     """
     x = vector(point)
     gens = exponent_set(generators)
     n = len(x)
     if len(gens[0]) != n:
         raise InvalidInputError(f"point has dimension {n}, generators {len(gens[0])}")
-    return all(c >= 0 for c in x) and feasible(gens, x)
+    *columns, x = integer_scaling([*gens, x])[1]
+    return all(c >= 0 for c in x) and feasible(columns, x)

@@ -1,6 +1,6 @@
 """Exact cone-membership LP in integers.
 
-For columns G >= 0 (exponent vectors) and a point x >= 0,
+For integer columns G >= 0 (exponent vectors) and an integer point x >= 0,
 
     x in conv(G) + R_+^n  iff  max { sum(lambda) : G lambda <= x, lambda >= 0 } >= 1:
 
@@ -9,29 +9,26 @@ then G (lambda / s) <= x / s <= x. The slack basis is feasible because
 x >= 0, so one primal simplex decides, with no phase one. Its pivots
 are fraction-free (Edmonds, J. Res. NBS 71B, 1967; the rule of Bareiss
 that ``geometry.int_det`` uses), and Bland's rule (Bland, Math. Oper.
-Res. 2, 1977) guarantees termination. Callers: ``cone_point_member``
-and the Monte Carlo oracle.
+Res. 2, 1977) guarantees termination. It takes ints only, as a Fraction
+would be floor-divided: ``cone_point_member`` scales its generators and
+point together once, and the Monte Carlo oracle passes exact int samples.
 """
 
 from __future__ import annotations
 
 import math
 
-from .rationals import integer_scaling
-
 
 def feasible(columns, x) -> bool:
     """True iff some lambda >= 0 with sum(lambda) >= 1 has
-    sum_j lambda_j columns[j] <= x, for x >= 0.
+    sum_j lambda_j columns[j] <= x, for int columns >= 0 and int x >= 0.
 
-    The columns and x are scaled once to integers. The tableau is T / d,
-    d the last pivot (1 at the start): a pivot p at (r, c) keeps row r
-    and sets every other row to (p row - row[c] row_r) // d, exact as
-    each entry of T is a minor of the starting tableau. The lowest column
-    with a negative reduced cost enters, ratio ties leave by the lowest
-    basis index, and an unbounded column is the zero generator.
+    The tableau is T / d, d the last pivot (1 at the start): a pivot p at
+    (r, c) keeps row r and sets every other row to (p row - row[c] row_r)
+    // d, exact as each entry of T is a minor of the starting tableau. The
+    lowest column with a negative reduced cost enters, ratio ties leave by
+    the lowest basis index, and an unbounded column is the zero generator.
     """
-    *columns, x = integer_scaling([*columns, x])[1]
     n, m = len(x), len(columns)
     tab = [[g[i] for g in columns] + [int(k == i) for k in range(n)] + [x[i]] for i in range(n)]
     # Reduced costs of min -sum(lambda); the last cell is d sum(lambda).

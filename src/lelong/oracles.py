@@ -107,13 +107,14 @@ def covolume_monte_carlo(poly: NewtonPolyhedron, samples: int, seed: int) -> McE
     """Estimate the covolume by uniform sampling in the intercept box.
 
     Membership is decided by the LP ``linprog.feasible`` on the checked
-    generators, not on the kernel's vertices, so the indicator is exact
-    and independent of the vertex reduction; only the estimate is
-    statistical. A uniform double is k / 2^53 for an int k, so a sample
-    scaled by 2^53 L is the int vector k * (L box) >= 0, tested against
-    the integer points shifted left by 53 bits. Deterministic per (seed,
-    samples) thanks to the counter-based Philox generator. A box whose
-    volume is past the float range is rejected before any sample is drawn.
+    generators, not the kernel's vertices, so the indicator is exact and
+    independent of the vertex reduction. A uniform double is k / 2^53
+    for an int k, so a sample scaled by 2^53 L is the int vector
+    k * (L box) >= 0, tested against the integer points shifted left by
+    53 bits. Philox makes it deterministic per (seed, samples); a box
+    volume past the float range is rejected first. ``standard_error`` is
+    the plug-in binomial SE, 0 when no sample falls outside (as is usual
+    at n = 6), where a within-k-SE check says nothing.
     """
     import numpy as np
 

@@ -85,9 +85,9 @@ def vector(coords, dimension: int | None = None) -> tuple[Fraction, ...]:
     return v
 
 
-def exponent_vector(coords, dimension: int | None = None) -> tuple[Fraction, ...]:
+def exponent_vector(coords) -> tuple[Fraction, ...]:
     """A vector whose entries must in addition be nonnegative."""
-    v = vector(coords, dimension)
+    v = vector(coords)
     if any(c.numerator < 0 for c in v):
         raise InvalidInputError(f"exponents must be nonnegative, got {coords!r}")
     return v

@@ -7,8 +7,9 @@ kernel triangulates its own facets and calls none of this: the tests
 use it to check the facet-cone volumes, and brute force is adequate at
 the small point sets they use it on. ``simplex_volume`` is the volume of
 one simplex from one determinant. ``fraction_feasible`` is the
-cone-membership simplex in exact Fraction arithmetic, which the
-fraction-free ``linprog.feasible`` must agree with.
+cone-membership simplex in exact Fraction arithmetic on rational inputs;
+the fraction-free ``linprog.feasible`` must agree with it on the same
+inputs scaled to integers.
 """
 
 from __future__ import annotations
@@ -109,7 +110,8 @@ def closure_member(beta, p_k) -> bool:
 
 def fraction_feasible(columns, x) -> bool:
     """True iff some lambda >= 0 with sum(lambda) >= 1 has
-    sum_j lambda_j columns[j] <= x, for x >= 0.
+    sum_j lambda_j columns[j] <= x, for rational columns >= 0 and x >= 0.
+    ``linprog.feasible`` agrees on the same inputs scaled to integers.
 
     Maximizes sum(lambda) from the slack basis until it reaches 1. The
     lowest column with a negative reduced cost enters, and ratio ties

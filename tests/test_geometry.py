@@ -13,6 +13,7 @@ from lelong.errors import InvalidInputError
 from lelong.geometry import cone_point_member, hyperplane_normal, int_det
 from lelong.linprog import feasible
 from lelong.newton import NewtonPolyhedron
+from lelong.rationals import integer_scaling
 
 from reference import fraction_feasible, polytope_volume, simplex_volume
 from support import ASTAR, random_primary_ideal
@@ -215,12 +216,17 @@ class TestConePointMember:
 
 
 class TestFeasible:
+    # feasible takes ints only; each hand case is its rational case
+    # scaled by the lcm of the denominators.
+
     def test_boundary_is_feasible(self):
-        assert feasible([(2, 1), (1, 2)], (Fraction(3, 2), Fraction(3, 2)))
+        # Columns (2, 1), (1, 2) and x = (3/2, 3/2), scaled by 2.
+        assert feasible([(4, 2), (2, 4)], (3, 3))
 
     def test_just_below_boundary_is_infeasible(self):
-        x = (Fraction(3, 2), Fraction(3, 2) - Fraction(1, 10**9))
-        assert not feasible([(2, 1), (1, 2)], x)
+        # x = (3/2, 3/2 - 1/10^9), scaled by d = 10^9.
+        d = 10**9
+        assert not feasible([(2 * d, d), (d, 2 * d)], (3 * d // 2, 3 * d // 2 - 1))
 
     def test_zero_column_is_feasible(self):
         # The zero column can grow without bound, so every x >= 0 is reached.
@@ -228,16 +234,20 @@ class TestFeasible:
         assert feasible([(0, 0, 0)], (0, 0, 0))
 
     def test_int_columns_stay_exact(self):
+        # x = (1, 2 - 1/10^17) against (3, 0), (0, 3), scaled by d = 10^17.
         # In floats, 2 - 1e-17 rounds to 2 and x lands on the boundary.
-        x = (Fraction(1), 2 - Fraction(1, 10**17))
-        assert not feasible([(3, 0), (0, 3)], x)
+        d = 10**17
+        assert not feasible([(3 * d, 0), (0, 3 * d)], (d, 2 * d - 1))
 
     def test_agrees_with_fraction_simplex(self):
         # The fraction-free pivots against the Fraction tableau, seeded at
         # n = 2..6: points on conv(G), where sum(lambda) reaches exactly 1
         # and ratios tie (a column itself ties in every row), points
         # scaled just off it, random points, zero columns, and entries
-        # over several distinct denominators.
+        # over several distinct denominators. feasible gets the columns
+        # and point scaled together to ints; cone_point_member gets the
+        # rationals and scales them itself, with the point's denominators
+        # differing from the set's lcm L.
         rng = random.Random(1968)
         dens = (1, 2, 3, 4, 5, 7, 9)
         answers = []
@@ -263,7 +273,9 @@ class TestFeasible:
                     [Fraction(rng.randint(0, 16), rng.choice(dens)) for _ in range(n)],
                 ]
                 for x in points:
-                    answer = feasible(cols, x)
+                    *int_cols, int_x = integer_scaling([*cols, x])[1]
+                    answer = feasible(int_cols, int_x)
                     assert answer == fraction_feasible(cols, x), (cols, x)
+                    assert cone_point_member(x, cols) == answer, (cols, x)
                     answers.append(answer)
         assert answers.count(True) > 600 and answers.count(False) > 300
