@@ -25,7 +25,6 @@ from .ideals import (
     mixed_multiplicity,
 )
 from .rationals import format_rational
-from .render import render_weight_svg
 from .weights import HomogeneousPsh, MonomialWeight, generalized_lelong, relative_type
 
 
@@ -157,6 +156,8 @@ def _cmd_loj(args):
 
 
 def _cmd_plot(args):
+    from .render import render_weight_svg
+
     phi = MonomialWeight(_load_document(args.file))
     svg = render_weight_svg(phi)
     try:

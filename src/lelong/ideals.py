@@ -13,7 +13,7 @@ record of unreached axes its pure-power check reads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 from operator import mul
@@ -105,16 +105,21 @@ def containment_exponents(i: PrimaryMonomialIdeal, p: int) -> tuple[int, ...]:
     return tuple(-(-p // e) for e in axis_multiplicities(i))
 
 
-@dataclass(frozen=True)
-class GeneratorContainment:
-    exponent: tuple[int, ...]
-    axis_bound: bool
-    closure_member: bool
-    literal_member: bool
+class GeneratorContainment(
+    namedtuple("GeneratorContainment", "exponent axis_bound closure_member literal_member")
+):
+    """One generator's exponent (a tuple of ints) and its three containment
+    flags, as described in ContainmentReport."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ContainmentReport:
+class ContainmentReport(
+    namedtuple(
+        "ContainmentReport",
+        "p mixed_multiplicity hypothesis axis_multiplicities exponents generators",
+    )
+):
     """Per-generator containment facts for (j, i, p).
 
     ``hypothesis`` records whether the mixed multiplicity of j against i
@@ -126,12 +131,7 @@ class ContainmentReport:
     report only states them.
     """
 
-    p: int
-    mixed_multiplicity: int
-    hypothesis: bool
-    axis_multiplicities: tuple[int, ...]
-    exponents: tuple[int, ...]
-    generators: tuple[GeneratorContainment, ...]
+    __slots__ = ()
 
     @property
     def all_axis_bound(self) -> bool:

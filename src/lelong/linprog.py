@@ -9,9 +9,10 @@ then G (lambda / s) <= x / s <= x. The slack basis is feasible because
 x >= 0, so one primal simplex decides, with no phase one. Its pivots
 are fraction-free (Edmonds, J. Res. NBS 71B, 1967; the rule of Bareiss
 that ``geometry.int_det`` uses), and Bland's rule (Bland, Math. Oper.
-Res. 2, 1977) guarantees termination. It takes ints only, as a Fraction
-would be floor-divided: ``cone_point_member`` scales its generators and
-point together once, and the Monte Carlo oracle passes exact int samples.
+Res. 2, 1977) guarantees termination. It takes ints only and raises
+TypeError on anything else, as a Fraction would be floor-divided:
+``cone_point_member`` scales its generators and point together once, and
+the Monte Carlo oracle passes exact int samples.
 """
 
 from __future__ import annotations
@@ -28,9 +29,12 @@ def feasible(columns, x) -> bool:
     // d, exact as each entry of T is a minor of the starting tableau. The
     lowest column with a negative reduced cost enters, ratio ties leave by
     the lowest basis index, and an unbounded column is the zero generator.
+    Any entry that is not an int raises TypeError.
     """
     n, m = len(x), len(columns)
     tab = [[g[i] for g in columns] + [int(k == i) for k in range(n)] + [x[i]] for i in range(n)]
+    if not all(isinstance(a, int) for row in tab for a in row):
+        raise TypeError("feasible takes int columns and an int point")
     # Reduced costs of min -sum(lambda); the last cell is d sum(lambda).
     tab.append([-1] * m + [0] * (n + 1))
     basis = list(range(m, m + n))

@@ -37,7 +37,7 @@ throughout, from the checked exponent set to one Fraction per output.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 from operator import mul
@@ -51,15 +51,13 @@ from .geometry import hyperplane_normal, int_det  # noqa: F401
 from .rationals import exponent_set
 
 
-@dataclass(frozen=True)
-class Facet:
-    """A compact facet: primitive strictly positive inner normal ``normal``,
-    support value ``support`` = min over the polyhedron of <normal, .>, and
-    the indices of the incident vertices."""
+class Facet(namedtuple("Facet", "normal support vertex_indices")):
+    """A compact facet: primitive strictly positive inner normal ``normal``
+    (a tuple of ints), support value ``support`` (a Fraction) = min over
+    the polyhedron of <normal, .>, and the indices of the incident
+    vertices."""
 
-    normal: tuple[int, ...]
-    support: Fraction
-    vertex_indices: tuple[int, ...]
+    __slots__ = ()
 
 
 def _bits(mask):

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations
 
@@ -93,14 +93,10 @@ def _check_sampling(samples, seed, least):
         raise InvalidInputError("seed must be nonnegative")
 
 
-@dataclass(frozen=True)
-class McEstimate:
+class McEstimate(namedtuple("McEstimate", "value standard_error samples seed")):
     """Seeded Monte Carlo estimate with its standard error."""
 
-    value: float
-    standard_error: float
-    samples: int
-    seed: int
+    __slots__ = ()
 
 
 def covolume_monte_carlo(poly: NewtonPolyhedron, samples: int, seed: int) -> McEstimate:
@@ -229,13 +225,13 @@ def relative_type_numeric(u: HomogeneousPsh, phi: MonomialWeight, grid_depth: in
     return best
 
 
-@dataclass(frozen=True)
-class QuasiTriangleReport:
-    max_violation: float
-    passed: bool
-    samples: int
-    seed: int
-    constant: float
+class QuasiTriangleReport(
+    namedtuple("QuasiTriangleReport", "max_violation passed samples seed constant")
+):
+    """Result of ``quasi_triangle_check``: the largest sampled violation
+    and whether it stayed <= 1e-12, with the run's samples, seed and K."""
+
+    __slots__ = ()
 
 
 def quasi_triangle_check(

@@ -33,7 +33,7 @@ those of the probes e_k.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 from operator import mul
@@ -111,17 +111,17 @@ class HomogeneousPsh:
         return f"{type(self).__name__}([{gens}])"
 
 
-@dataclass(frozen=True)
-class LelongAtom:
-    """One extreme point of the level set {f = -1} with its mass."""
+class LelongAtom(namedtuple("LelongAtom", "vertex mass")):
+    """One extreme point of the level set {f = -1}, a tuple of Fractions,
+    with its mass, a Fraction."""
 
-    vertex: tuple[Fraction, ...]
-    mass: Fraction
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class LelongMeasure:
-    atoms: tuple[LelongAtom, ...]
+class LelongMeasure(namedtuple("LelongMeasure", "atoms")):
+    """The atomic measure: a tuple of LelongAtoms."""
+
+    __slots__ = ()
 
     @property
     def total_mass(self) -> Fraction:

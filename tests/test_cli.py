@@ -302,6 +302,24 @@ class TestGoldenSubprocess:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "False False\n"
 
+    def test_import_adds_no_heavy_modules(self):
+        # Only what the import adds counts, so modules the interpreter's
+        # own start-up loads do not.
+        code = (
+            "import sys; before = set(sys.modules); import lelong.cli; "
+            "cli = set(sys.modules) - before; import lelong.oracles; "
+            "oracles = set(sys.modules) - before - cli; "
+            "print(*cli); print(*oracles)"
+        )
+        proc = run_python("-c", code, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        cli_added, oracles_added = (set(line.split()) for line in proc.stdout.splitlines())
+        heavy = {"dataclasses", "inspect", "ast", "dis", "tokenize", "numpy", "lelong.render", "lelong.oracles"}
+        assert "lelong.cli" in cli_added
+        assert not cli_added & heavy
+        assert "lelong.oracles" in oracles_added
+        assert "dataclasses" not in oracles_added
+
     def test_exponent_notation_exits_fast(self, tmp_path):
         # Fraction("1e999999999") would build a billion-digit integer.
         path = tmp_path / "exp.json"

@@ -223,6 +223,16 @@ class TestFeasible:
         # Columns (2, 1), (1, 2) and x = (3/2, 3/2), scaled by 2.
         assert feasible([(4, 2), (2, 4)], (3, 3))
 
+    def test_non_int_entries_raise(self):
+        # The same rational case unscaled: a Fraction would be
+        # floor-divided by the pivots and answer False.
+        with pytest.raises(TypeError):
+            feasible([(2, 1), (1, 2)], (Fraction(3, 2), Fraction(3, 2)))
+        with pytest.raises(TypeError):
+            feasible([(Fraction(2), 1), (1, 2)], (3, 3))
+        with pytest.raises(TypeError):
+            feasible([(2, 1), (1, 2)], (3.0, 3))
+
     def test_just_below_boundary_is_infeasible(self):
         # x = (3/2, 3/2 - 1/10^9), scaled by d = 10^9.
         d = 10**9
