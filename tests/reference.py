@@ -9,15 +9,31 @@ the small point sets they use it on. ``simplex_volume`` is the volume of
 one simplex from one determinant. ``fraction_feasible`` is the
 cone-membership simplex in exact Fraction arithmetic on rational inputs;
 the fraction-free ``linprog.feasible`` must agree with it on the same
-inputs scaled to integers.
+inputs scaled to integers. ``build_parser`` is the argparse parser that
+``lelong.cli``'s command table replaced, kept so a test can check that
+both read every argv alike.
 """
 
 from __future__ import annotations
 
+import argparse
 import math
 from fractions import Fraction
 from itertools import combinations
 
+from lelong.cli import (
+    _cmd_contain,
+    _cmd_dir_lelong,
+    _cmd_extremal,
+    _cmd_flat,
+    _cmd_gamma,
+    _cmd_lelong,
+    _cmd_loj,
+    _cmd_mass,
+    _cmd_mixed,
+    _cmd_plot,
+    _cmd_type,
+)
 from lelong.errors import InvalidInputError
 from lelong.geometry import hyperplane_normal, int_det
 from lelong.rationals import integer_scaling, vector
@@ -144,3 +160,66 @@ def fraction_feasible(columns, x) -> bool:
                 tab[i] = [a - f * b for a, b in zip(r, prow)]
         basis[row] = col
     return True
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="lelong",
+        description="Exact Newton-polyhedron invariants of monomial singularities.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    s = sub.add_parser("mass", help="residual Monge-Ampere mass of a weight")
+    s.add_argument("file")
+    s.set_defaults(handler=_cmd_mass)
+
+    s = sub.add_parser("dir-lelong", help="directional number along a positive direction")
+    s.add_argument("file")
+    s.add_argument("--a", required=True, help="comma-separated positive rationals")
+    s.set_defaults(handler=_cmd_dir_lelong)
+
+    s = sub.add_parser("gamma", help="atomic measure on the level set {f = -1}")
+    s.add_argument("file")
+    s.set_defaults(handler=_cmd_gamma)
+
+    s = sub.add_parser("lelong", help="aggregate of u against the measure of phi")
+    s.add_argument("ufile")
+    s.add_argument("phifile")
+    s.add_argument("--normalized", action="store_true")
+    s.set_defaults(handler=_cmd_lelong)
+
+    s = sub.add_parser("type", help="relative type of u with respect to phi")
+    s.add_argument("ufile")
+    s.add_argument("phifile")
+    s.set_defaults(handler=_cmd_type)
+
+    s = sub.add_parser("extremal", help="extremal simplicial direction of a weight")
+    s.add_argument("file")
+    s.set_defaults(handler=_cmd_extremal)
+
+    s = sub.add_parser("flat", help="flatness test with witness probe when false")
+    s.add_argument("file")
+    s.set_defaults(handler=_cmd_flat)
+
+    s = sub.add_parser("mixed", help="mixed multiplicity of ideals")
+    s.add_argument("jfile")
+    s.add_argument("ifile")
+    s.add_argument("--oracle", choices=["polarization"])
+    s.set_defaults(handler=_cmd_mixed)
+
+    s = sub.add_parser("contain", help="containment report for (J, I, p)")
+    s.add_argument("jfile")
+    s.add_argument("ifile")
+    s.add_argument("-p", type=int, required=True)
+    s.set_defaults(handler=_cmd_contain)
+
+    s = sub.add_parser("loj", help="Lojasiewicz exponent of a weight")
+    s.add_argument("file")
+    s.set_defaults(handler=_cmd_loj)
+
+    s = sub.add_parser("plot", help="SVG rendering of a 2-D Newton diagram")
+    s.add_argument("file")
+    s.add_argument("-o", "--output", required=True)
+    s.set_defaults(handler=_cmd_plot)
+
+    return parser

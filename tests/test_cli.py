@@ -7,12 +7,14 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from lelong.cli import main
+from lelong.cli import COMMANDS, main, parse_argv
+from lelong.errors import InvalidInputError
 from lelong.rationals import MAX_DIGITS, parse_rational
 
+from reference import build_parser
 from support import run_python
 
 DATA = Path(__file__).parent / "data"
@@ -23,6 +25,21 @@ U_Z1 = str(DATA / "u_z1.json")
 J_Z1Z2 = str(DATA / "j_z1z2.json")
 SQUARE_CROSS = str(DATA / "square_cross.json")
 DIR_1_2 = str(DATA / "dir_1_2.json")
+
+
+REFERENCE = build_parser()
+
+
+def argparse_reading(argv):
+    """What the argparse parser the table replaced made of ``argv``: the
+    handler and its fields, or the exit code (0 after help, 2 on error)."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            fields = vars(REFERENCE.parse_args(argv))
+        except SystemExit as exc:
+            return exc.code
+    del fields["command"]
+    return fields.pop("handler"), fields
 
 
 def run(capsys, *argv):
@@ -251,6 +268,83 @@ class TestErrors:
         assert code == 2
 
 
+class TestArgv:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["foo", PHI_STAR],
+            ["mass"],
+            ["lelong", U_Z1],
+            ["mass", PHI_STAR, PHI_STAR],
+            ["mass", PHI_STAR, "--bogus"],
+            ["contain", J_Z1Z2, PHI_STAR, "-p"],
+            ["contain", J_Z1Z2, PHI_STAR, "-p", "x"],
+            ["contain", J_Z1Z2, PHI_STAR, "-p", "1" + "0" * 5000],
+            ["mixed", SQUARE_CROSS, PHI_STAR, "--oracle", "foo"],
+            ["dir-lelong", PHI_STAR],
+            ["contain", J_Z1Z2, PHI_STAR],
+            ["plot", PHI_STAR],
+        ],
+        ids=["empty", "unknown-command", "no-positional", "one-positional-short", "extra-positional",
+             "unknown-flag", "flag-without-value", "p-not-int", "p-5000-digits", "bad-oracle",
+             "missing-a", "missing-p", "missing-o"],
+    )
+    def test_malformed_argv_exits_two_with_one_line(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and err.endswith("\n")
+        assert err.startswith(f"lelong {argv[0]}: " if argv and argv[0] in COMMANDS else "lelong: ")
+
+    def test_malformed_argv_in_a_child(self):
+        proc = run_python("-m", "lelong.cli", "contain", J_Z1Z2, PHI_STAR, "-p", "x",
+                          capture_output=True)
+        assert proc.returncode == 2
+        assert proc.stdout == b""
+        assert proc.stderr == b"lelong contain: -p takes an integer, got 'x'\n"
+
+    @pytest.mark.parametrize(
+        "argv, lines",
+        [(["-h"], len(COMMANDS)), (["--help", "mass"], len(COMMANDS)), (["mass", "-h"], 1),
+         (["contain", J_Z1Z2, "--help", "-p"], 1)],
+    )
+    def test_help(self, capsys, argv, lines):
+        code, out, err = run(capsys, *argv)
+        assert code == 0
+        assert err == ""
+        assert out.startswith("usage: lelong ") and out.count("\n") == lines
+        if lines == 1:
+            assert out.split()[2] == argv[0]
+
+    def test_help_names_every_field(self, capsys):
+        _, out, _ = run(capsys, "--help")
+        assert "lelong plot FILE -o/--output OUTPUT\n" in out
+        assert "lelong mixed JFILE IFILE [--oracle {polarization}]\n" in out
+        assert "lelong lelong UFILE PHIFILE [--normalized]\n" in out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["lelong", "u", "phi", "--norm"],
+            ["plot", "phi", "--out", "x.svg"],
+            ["plot", "phi", "--out=x.svg"],
+            ["mixed", "j", "i", "--orac", "polarization"],
+            ["mass", "phi", "--he"],
+            ["--bogus", "-h"],
+            ["mass", "--", "-x.json"],
+            ["mass", "x.json", "--"],
+        ],
+    )
+    def test_dropped_forms(self, argv):
+        """Argv forms argparse took that the table rejects on purpose:
+        unique prefixes of long flags, an unknown flag before the command
+        (argparse reported it only when no ``-h`` followed), and ``--``."""
+        assert argparse_reading(argv) != 2
+        with pytest.raises(InvalidInputError):
+            parse_argv(argv)
+
+
 @pytest.mark.parametrize(
     "text, value",
     [("3", 3), ("-1/2", Fraction(-1, 2)), ("007", 7), ("4/6", Fraction(2, 3)), ("-0", 0),
@@ -314,11 +408,23 @@ class TestGoldenSubprocess:
         proc = run_python("-c", code, capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         cli_added, oracles_added = (set(line.split()) for line in proc.stdout.splitlines())
-        heavy = {"dataclasses", "inspect", "ast", "dis", "tokenize", "numpy", "lelong.render", "lelong.oracles"}
+        heavy = {
+            "dataclasses", "inspect", "ast", "dis", "tokenize", "numpy", "argparse", "gettext",
+            "lelong.render", "lelong.oracles",
+        }
         assert "lelong.cli" in cli_added
         assert not cli_added & heavy
         assert "lelong.oracles" in oracles_added
         assert "dataclasses" not in oracles_added
+
+    def test_command_leaves_locale_unloaded(self):
+        code = (
+            "import sys; from lelong.cli import main; "
+            f"code = main(['mass', {PHI_STAR!r}]); print(code, 'locale' in sys.modules)"
+        )
+        proc = run_python("-c", code, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == '{"tau": "6"}\n0 False\n'
 
     def test_exponent_notation_exits_fast(self, tmp_path):
         # Fraction("1e999999999") would build a billion-digit integer.
@@ -435,3 +541,77 @@ def test_cli_contract(fuzz_dir, invocation):
         assert out.getvalue() == ""
     else:
         assert out.getvalue().count("\n") == 1 and json.loads(out.getvalue())
+
+
+# Valid values of each flag, written apart from it, and attached to it
+# after "=" (and directly after a one-letter flag). Flags of kind bool
+# take none.
+GOOD_VALUES = {"--a": ["1,2", "-1", "1/2,3"], "-p": ["6", "-3", "0", " 6", "+6", "1_0"],
+               "--oracle": ["polarization"], "-o": ["x.svg", "-"], "--output": ["x.svg"]}
+# Tokens of every kind the table must read as argparse did: file names
+# (some starting with "-"), every command's flags, values good and bad
+# for each of them, flags with values attached, unknown flags and help.
+TOKENS = [
+    "a.json", "b.json", "-", "-3", "-.5", "-3.", "-1,2", "x y", "-x y", "-p 6",
+    "--a", "--normalized", "--oracle", "-p", "-o", "--output", "-h", "--help", "--bogus", "-x",
+    "polarization", "foo", "", "x", "1" + "0" * 5000, "3", "1.5",
+    "--a=1,2", "--a=", "-p=3", "-p6", "-p-2", "-px", "--oracle=polarization", "--oracle=foo",
+    "--oracle=", "--normalized=1", "--normalized=", "-o=x.svg", "-ox.svg", "--output=x.svg",
+    "-h=1", "-hx", "--help=", "--bogus=1",
+]
+
+
+@st.composite
+def argvs(draw):
+    """An argv of one command, its flags in any of their forms with good
+    values (three times in four) or any token, and its arguments in any
+    order, then with up to three tokens inserted and up to two removed."""
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    _, positionals, flags = COMMANDS[command]
+    units = [[f"{name}.json"] for name in positionals]
+    for spelling in flags:
+        if spelling == "--output" and draw(st.booleans()) or spelling == "--oracle" and draw(st.booleans()):
+            continue
+        if spelling not in GOOD_VALUES:
+            units.append([spelling])
+            continue
+        value = draw(st.sampled_from(GOOD_VALUES[spelling] if draw(st.integers(0, 3)) else TOKENS))
+        forms = [[spelling, value], [f"{spelling}={value}"]] + [[spelling + value]] * (len(spelling) == 2)
+        units.append(draw(st.sampled_from(forms)))
+    argv = [token for unit in draw(st.permutations(units)) for token in unit]
+    for _ in range(draw(st.integers(0, 3))):
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(TOKENS)))
+    for _ in range(draw(st.integers(0, 2))):
+        if argv:
+            del argv[draw(st.integers(0, len(argv) - 1))]
+    head = draw(st.sampled_from([[command]] * 8 + [["-h"], ["--help"], ["foo"], ["MASS"], [""]]))
+    return head + argv
+
+
+@settings(max_examples=1000, deadline=None)
+@given(argvs())
+@example(["contain", "j.json", "i.json", "-p", "-3"])
+@example(["dir-lelong", "a.json", "--a", "-.5"])
+@example(["plot", "a.json", "-o", "-3."])
+@example(["mass", "-x y"])
+@example(["contain", "j.json", "i.json", "-p 6"])
+@example(["plot", "a.json", "-ox.svg"])
+def test_table_reads_argv_as_argparse_did(argv):
+    """Where argparse read ``argv``, the table gives the same handler and
+    fields; where it printed help, the table prints usage and exits 0;
+    where it failed, ``parse_argv`` raises and ``main`` returns 2 with one
+    stderr line. The forms the table drops on purpose are not drawn."""
+    want = argparse_reading(argv)
+    out, err = io.StringIO(), io.StringIO()
+    if want == 2:
+        with pytest.raises(InvalidInputError):
+            parse_argv(argv)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            assert main(argv) == 2
+        assert out.getvalue() == "" and err.getvalue().count("\n") == 1
+    elif want == 0:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            assert main(argv) == 0
+        assert out.getvalue().startswith("usage: lelong ") and err.getvalue() == ""
+    else:
+        assert parse_argv(argv) == want
