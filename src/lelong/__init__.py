@@ -9,9 +9,12 @@ atomic measure carried by the extreme points of the level set
 types, extremal simplicial directions, flatness, Lojasiewicz exponents,
 and the multiplicity theory of monomial ideals built on top of them.
 
-Floating point appears only in :mod:`lelong.oracles`, which re-derives
-selected values by independent means (staircase sums, Monte Carlo,
-Minkowski polarization, direct liminf sampling) for verification.
+Floating point appears in three places: :mod:`lelong.oracles`, which
+re-derives selected values by independent means (staircase sums, Monte
+Carlo, Minkowski polarization, direct liminf sampling) for verification;
+:mod:`lelong.render`, which draws its SVG in floats; and
+``HomogeneousPsh.evaluate``, which takes the float -inf as a coordinate
+and returns it when every term is -inf.
 """
 
 from .errors import InvalidInputError, LelongError, NotPrimaryError

@@ -10,7 +10,8 @@ order, so results are byte-stable.
 The command line is read against one table, ``COMMANDS``, without
 argparse. Exit codes: 0 on success, 2 on input errors (a malformed
 command line among them), 3 when an operation needs pure-power
-(primary) structure the input lacks; a nonzero exit prints one line.
+(primary) structure the input lacks; a nonzero exit prints one line,
+in which a file name is quoted by ``repr``.
 """
 
 from __future__ import annotations
@@ -34,31 +35,31 @@ def _load_document(path):
         with open(path, "r", encoding="utf-8") as fh:
             raw = fh.read()
     except OSError as exc:
-        raise InvalidInputError(f"{path}: {exc}") from None
+        raise InvalidInputError(f"{path!r}: {exc}") from None
     except UnicodeDecodeError as exc:
-        raise InvalidInputError(f"{path}: not UTF-8 text: {exc}") from None
+        raise InvalidInputError(f"{path!r}: not UTF-8 text: {exc}") from None
     try:
         doc = json.loads(raw)
     except json.JSONDecodeError as exc:
-        raise InvalidInputError(f"{path}: malformed JSON: {exc}") from None
+        raise InvalidInputError(f"{path!r}: malformed JSON: {exc}") from None
     except RecursionError:
-        raise InvalidInputError(f"{path}: malformed JSON: nested too deeply") from None
+        raise InvalidInputError(f"{path!r}: malformed JSON: nested too deeply") from None
     except ValueError:
         # json.loads raises a plain ValueError for an integer literal
         # longer than int() accepts.
-        raise InvalidInputError(f"{path}: malformed JSON: an integer has too many digits") from None
+        raise InvalidInputError(f"{path!r}: malformed JSON: an integer has too many digits") from None
     if not isinstance(doc, dict):
-        raise InvalidInputError(f"{path}: expected a JSON object")
+        raise InvalidInputError(f"{path!r}: expected a JSON object")
     n = doc.get("n")
     gens = doc.get("generators")
     if not isinstance(n, int) or isinstance(n, bool):
-        raise InvalidInputError(f"{path}: field 'n' must be an integer")
+        raise InvalidInputError(f"{path!r}: field 'n' must be an integer")
     if not isinstance(gens, list) or not gens:
-        raise InvalidInputError(f"{path}: field 'generators' must be a nonempty list")
+        raise InvalidInputError(f"{path!r}: field 'generators' must be a nonempty list")
     out = []
     for g in gens:
         if not isinstance(g, list) or len(g) != n:
-            raise InvalidInputError(f"{path}: each generator must be a list of length {n}")
+            raise InvalidInputError(f"{path!r}: each generator must be a list of length {n}")
         out.append(tuple(g))
     return out
 
@@ -165,7 +166,7 @@ def _cmd_plot(file, output):
         with open(output, "w", encoding="utf-8") as fh:
             fh.write(svg)
     except OSError as exc:
-        raise InvalidInputError(f"{output}: {exc}") from None
+        raise InvalidInputError(f"{output!r}: {exc}") from None
     return None
 
 

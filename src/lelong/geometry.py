@@ -4,11 +4,12 @@ The module provides the one determinant and membership in a Newton
 polyhedron. The determinant is ``int_det``: Bareiss fraction-free
 elimination on integer rows, in ints from start to finish, which the
 facet-cone volumes call directly and ``hyperplane_normal`` calls on its
-points scaled once to integers. ``cone_point_member`` coerces its point
-with ``rationals.vector`` and its generators with ``exponent_set`` (one
-rational grammar, dimensions 2..6, the exponent-set rules), then scales
-both together once for the int-only LP ``linprog.feasible``, whose other
-caller, the Monte Carlo oracle, builds its ints itself. The brute-force
+points scaled once to integers. ``cone_point_member`` checks its
+generators with ``exponent_set`` and reads its point with
+``rationals.vector`` at their dimension (one rational grammar, one
+length rule, the exponent-set rules), then scales both together once
+for the int-only LP ``linprog.feasible``, whose other caller, the Monte
+Carlo oracle, builds its ints itself. The brute-force
 volume reference for the facet-cone volumes is ``tests/reference.py``.
 """
 
@@ -16,7 +17,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import InvalidInputError
 from .linprog import feasible
 from .rationals import exponent_set, integer_scaling, vector
 
@@ -69,10 +69,7 @@ def cone_point_member(point, generators) -> bool:
     ``exponent_set`` accepts. A point with a negative coordinate is
     outside; for any other the integer LP decides, on both scaled once.
     """
-    x = vector(point)
     gens = exponent_set(generators)
-    n = len(x)
-    if len(gens[0]) != n:
-        raise InvalidInputError(f"point has dimension {n}, generators {len(gens[0])}")
+    x = vector(point, len(gens[0]))
     *columns, x = integer_scaling([*gens, x])[1]
     return all(c >= 0 for c in x) and feasible(columns, x)

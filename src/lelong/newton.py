@@ -14,10 +14,11 @@ adjacent by the combinatorial test on their zero sets. The work is
 proportional to the rays that exist, not to the n-subsets of vertices.
 Everything else is read off the rays and their zero sets:
 
-* a generator is a vertex iff its set of tight rays is not a proper
-  subset of another generator's: each vertex is tight on a facet of C,
-  and the face of C on which a non-vertex is tight lies strictly
-  inside one of those facets;
+* generator j is a vertex iff it is the only generator tight on every
+  ray tight on j (the AND of those rays' zero sets is j alone): the
+  valid inequalities tight on a vertex cut out that vertex, while a
+  non-vertex lies in the relative interior of a face of dimension >= 1,
+  and a vertex of that face is tight on every ray the non-vertex is;
 * the compact facets are the rays with w > 0 that are tight on some
   generator, with primitive normal w/gcd(w), support t/(L gcd(w)) and
   the vertices of their zero set as incidence;
@@ -150,17 +151,13 @@ class NewtonPolyhedron:
         return tuple((r, z >> shift) for r, z in _dual_rays(self.generators.points, self.dimension))
 
     def _minimal_vertices(self):
-        """Indices of the generators that are vertices: those whose mask of
-        tight rays (bit i for ray i) is not a proper subset of another's."""
-        masks = [0] * len(self.generators)
-        for i, (_, tight) in enumerate(self._rays):
+        """Indices of the generators that are vertices: those j for which
+        the AND of the masks of the rays tight on j is 1 << j."""
+        meets = [-1] * len(self.generators)
+        for _, tight in self._rays:
             for j in _bits(tight):
-                masks[j] |= 1 << i
-        return tuple(
-            j
-            for j, m in enumerate(masks)
-            if not any(m & o == m and m != o for o in masks)
-        )
+                meets[j] &= tight
+        return tuple(j for j, m in enumerate(meets) if m == 1 << j)
 
     def _compact_facets(self):
         """The rays with w > 0 that are tight on some generator, as Facets

@@ -40,7 +40,7 @@ from operator import mul
 
 from .errors import InvalidInputError, NotPrimaryError
 from .newton import NewtonPolyhedron
-from .rationals import exponent_set, integer_scaling, parse_rational, positive_direction
+from .rationals import exponent_set, integer_scaling, positive_direction, vector
 
 NEG_INFINITY = float("-inf")
 
@@ -66,36 +66,21 @@ class HomogeneousPsh:
         Finite coordinates follow the package's rational grammar; a
         coordinate may also be the float -inf. A term with a positive
         exponent on an infinite coordinate evaluates to -inf, a zero
-        exponent ignores it.
+        exponent ignores it. The point is read by ``rationals.vector``
+        with each -inf taken as 0, and the max of <P_j, t> over the
+        integer points P_j = L b_j that the -inf axes leave is one
+        Fraction over L.
         Returns a Fraction, or -inf when every term is -inf.
         """
-        coords = []
-        for c in t:
-            if isinstance(c, float) and c == NEG_INFINITY:
-                coords.append(None)
-                continue
-            q = parse_rational(c)
-            if q > 0:
-                raise InvalidInputError("evaluation point must be componentwise <= 0")
-            coords.append(q)
-        if len(coords) != self.dimension:
-            raise InvalidInputError(
-                f"expected a point of dimension {self.dimension}, got {len(coords)}"
-            )
-        best = None
-        for g in self.generators:
-            val = Fraction(0)
-            dead = False
-            for gc, tc in zip(g, coords):
-                if tc is None:
-                    if gc > 0:
-                        dead = True
-                        break
-                else:
-                    val += gc * tc
-            if not dead and (best is None or val > best):
-                best = val
-        return NEG_INFINITY if best is None else best
+        t = tuple(t)
+        dead = [k for k, c in enumerate(t) if isinstance(c, float) and c == NEG_INFINITY]
+        x = vector((0 if k in dead else c for k, c in enumerate(t)), self.dimension)
+        if any(c > 0 for c in x):
+            raise InvalidInputError("evaluation point must be componentwise <= 0")
+        values = [
+            sum(map(mul, p, x)) for p in self.generators.points if not any(p[k] for k in dead)
+        ]
+        return max(values) / self.generators.scale if values else NEG_INFINITY
 
     def _least(self, a):
         """min_j <P_j, a> over the integer points P_j = L b_j of the set."""

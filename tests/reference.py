@@ -11,7 +11,10 @@ cone-membership simplex in exact Fraction arithmetic on rational inputs;
 the fraction-free ``linprog.feasible`` must agree with it on the same
 inputs scaled to integers. ``build_parser`` is the argparse parser that
 ``lelong.cli``'s command table replaced, kept so a test can check that
-both read every argv alike.
+both read every argv alike. ``fraction_evaluate`` is the coordinate loop
+that ``HomogeneousPsh.evaluate`` replaced, summing on the Fraction
+generators, kept so a test can check that both give the same values and
+reject the same points.
 """
 
 from __future__ import annotations
@@ -36,7 +39,8 @@ from lelong.cli import (
 )
 from lelong.errors import InvalidInputError
 from lelong.geometry import hyperplane_normal, int_det
-from lelong.rationals import integer_scaling, vector
+from lelong.rationals import integer_scaling, parse_rational, vector
+from lelong.weights import NEG_INFINITY
 
 
 def dot(u, v):
@@ -223,3 +227,35 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(handler=_cmd_plot)
 
     return parser
+
+
+def fraction_evaluate(generators, t):
+    """max_j <b_j, t> over checked Fraction ``generators`` for t in the
+    closed negative orthant, whose coordinates may be the float -inf."""
+    coords = []
+    for c in t:
+        if isinstance(c, float) and c == NEG_INFINITY:
+            coords.append(None)
+            continue
+        q = parse_rational(c)
+        if q > 0:
+            raise InvalidInputError("evaluation point must be componentwise <= 0")
+        coords.append(q)
+    if len(coords) != len(generators[0]):
+        raise InvalidInputError(
+            f"expected a point of dimension {len(generators[0])}, got {len(coords)}"
+        )
+    best = None
+    for g in generators:
+        val = Fraction(0)
+        dead = False
+        for gc, tc in zip(g, coords):
+            if tc is None:
+                if gc > 0:
+                    dead = True
+                    break
+            else:
+                val += gc * tc
+        if not dead and (best is None or val > best):
+            best = val
+    return NEG_INFINITY if best is None else best

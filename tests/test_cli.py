@@ -173,6 +173,16 @@ class TestErrors:
         assert code == 2
         assert err
 
+    @pytest.mark.parametrize("role", ["input", "output"])
+    def test_newline_in_a_file_name_stays_on_one_line(self, capsys, tmp_path, role):
+        # The error line quotes the name, so a newline in it cannot split it.
+        name = str(tmp_path / "no\nsuch" / "x.json")
+        argv = ["mass", name] if role == "input" else ["plot", PHI_STAR, "-o", name]
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith(f"{name!r}: ")
+
     def test_dimension_cap(self, capsys, tmp_path):
         doc = {"n": 7, "generators": [[1, 0, 0, 0, 0, 0, 0]] * 7}
         path = tmp_path / "big.json"

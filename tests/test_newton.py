@@ -15,7 +15,7 @@ from lelong.oracles import covolume_staircase_2d
 from lelong.weights import MonomialWeight
 
 from reference import polytope_volume
-from support import ASTAR, random_weight, unit, vertex_rich
+from support import ASTAR, random_psh, random_weight, unit, vertex_rich
 
 
 def F(*args):
@@ -205,17 +205,30 @@ class TestVertexRich:
 class TestAgainstReferences:
     def test_vertices_and_masses_match_independent_references(self):
         # Vertices against exact LP membership of each generator in the
-        # hull of the others.
+        # hull of the others. The inputs: weights at n = 2..5, and at
+        # n = 6 with max_exp=16 (at the default most n = 6 draws are
+        # simplicial); each weight again with the midpoint of two vertices
+        # of a compact facet added, a non-vertex on the boundary; and psh
+        # sets with unreached axes, whose polyhedra have unbounded faces.
         rng = random.Random(31)
-        for n in (2, 3, 4, 5):
-            for _ in range(8):
-                phi = random_weight(rng, n, max_exp=9)
-                poly = phi.polyhedron
-                for g in poly.generators:
-                    others = [q for q in poly.generators if q != g]
-                    redundant = bool(others) and cone_point_member(g, others)
-                    assert (g in poly.vertices) != redundant
-                assert_masses_match_polytope_volume(phi)
+        weights = [random_weight(rng, n, max_exp=9) for n in (2, 3, 4, 5) for _ in range(8)]
+        weights += [random_weight(rng, 6, max_exp=16) for _ in range(8)]
+        for phi in list(weights):
+            a, b = phi.polyhedron.facet_points(phi.polyhedron.compact_facets[0])[:2]
+            midpoint = tuple((x + y) / 2 for x, y in zip(a, b))
+            weights.append(MonomialWeight([*phi.generators, midpoint]))
+            assert midpoint not in weights[-1].polyhedron.vertices
+        psh = [random_psh(rng, n) for n in range(2, 7) for _ in range(6)]
+        psh = [u for u in psh if u.generators.unreached]
+        assert len(psh) > 20
+        for u in weights + psh:
+            poly = u.polyhedron
+            for g in poly.generators:
+                others = [q for q in poly.generators if q != g]
+                redundant = bool(others) and cone_point_member(g, others)
+                assert (g in poly.vertices) != redundant
+            if isinstance(u, MonomialWeight):
+                assert_masses_match_polytope_volume(u)
 
     @pytest.mark.parametrize("n, m, non_simplicial", [(4, 2, 1), (4, 3, 4)])
     def test_masses_on_non_simplicial_facets(self, n, m, non_simplicial):

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lelong.errors import InvalidInputError, NotPrimaryError
+from lelong.geometry import cone_point_member
 from lelong.ideals import (
     MonomialIdeal,
     PrimaryMonomialIdeal,
@@ -26,11 +27,13 @@ from lelong.weights import (
     relative_type,
 )
 
+from reference import fraction_evaluate
 from support import (
     ASTAR,
     random_direction,
     random_primary_ideal,
     random_psh,
+    random_rational,
     random_weight,
     unit,
 )
@@ -587,3 +590,41 @@ class TestEvaluate:
     def test_float_coordinate_rejected(self):
         with pytest.raises(InvalidInputError):
             PHI_STAR.evaluate((-0.5, -1))
+
+    def test_matches_fraction_reference(self):
+        # Generators divided by rationals, so that L > 1, and points of
+        # nonpositive rationals, zeros and -inf, in every grammar form.
+        rng = random.Random(19)
+        inf = float("-inf")
+        scaled = dead_on_zero_exponent = 0
+        for n in range(2, 7):
+            for _ in range(12):
+                drawn = random_psh(rng, n) if rng.random() < 0.5 else random_weight(rng, n)
+                gens = [tuple(c / random_rational(rng) for c in g) for g in drawn.generators]
+                u = HomogeneousPsh(gens)
+                scaled += u.generators.scale > 1
+                for _ in range(8):
+                    t = [
+                        rng.choice((0, inf, -random_rational(rng), f"-{rng.randint(0, 9)}/7"))
+                        for _ in range(n)
+                    ]
+                    dead_on_zero_exponent += any(
+                        c == inf and any(g[k] == 0 for g in gens) for k, c in enumerate(t)
+                    )
+                    reference = fraction_evaluate(u.generators, t)
+                    assert u.evaluate(t) == reference, (u, t)
+                    assert u.evaluate(iter(t)) == reference
+                    bad_points = [t[:-1], t + [0]]
+                    for bad in (1, -0.5, "-1/0", "x"):
+                        bad_points.append(list(t))
+                        bad_points[-1][rng.randrange(n)] = bad
+                    for point in bad_points:
+                        for f in (u.evaluate, lambda p: fraction_evaluate(u.generators, p)):
+                            with pytest.raises(InvalidInputError):
+                                f(point)
+        assert scaled > 50 and dead_on_zero_exponent > 50
+        message = "expected a vector of length 2, got 3"
+        with pytest.raises(InvalidInputError, match=message):
+            PHI_STAR.evaluate((-1, -1, -1))
+        with pytest.raises(InvalidInputError, match=message):
+            cone_point_member((1, 1, 1), ASTAR)
