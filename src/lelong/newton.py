@@ -12,6 +12,10 @@ revisited", 1996): constraints are added one at a time, rays are kept
 primitive by their gcd, and two rays are combined only when they are
 adjacent by the combinatorial test on their zero sets. The work is
 proportional to the rays that exist, not to the n-subsets of vertices.
+The method may start from any simplicial cone cut out by some of the
+constraints, and the rays it ends with do not depend on the order of
+the rest, so it starts from the cone of the least pure powers that the
+checked set records and inserts only the other points (``_dual_rays``).
 Everything else is read off the rays and their zero sets:
 
 * generator j is a vertex iff it is the only generator tight on every
@@ -24,8 +28,10 @@ Everything else is read off the rays and their zero sets:
   the vertices of their zero set as incidence;
 * the cone over a compact facet is cut by a pulling triangulation of
   the facet, whose faces are the maximal intersections of its vertex
-  set with the zero sets of the other rays, and L^n n! times its volume
-  is the int sum of |int_det| over the simplices on the integer points;
+  set with the zero sets of the other rays (an intersection with fewer
+  vertices than a facet of the face needs is never one), and L^n n!
+  times its volume is the int sum of |int_det| over the simplices on
+  the integer points;
 * the intercept on axis k, the least g_k over the generators that
   vanish off axis k, is read off the checked set, which computes it once.
 
@@ -71,17 +77,40 @@ def _bits(mask):
     return out
 
 
-def _dual_rays(points, n):
+def _dual_rays(points, n, pure_powers):
     """Extreme rays of C for integer ``points``, as (ray, zero set) pairs.
 
     A ray is the primitive integer vector (w, t). In a zero set, bit k < n
     stands for w_k >= 0, bit n for t >= 0 and bit n + 1 + j for the
     inequality of points[j]; a set bit means the inequality is tight.
+
+    ``pure_powers`` gives per axis k the index of the least pure power
+    M_k e_k among the points, or None. The method starts from the cone of
+    those inequalities and of w >= 0, t >= 0, and inserts the other points
+    in their order. With K the axes that have a pure power and L the lcm
+    of their M_k, that cone is simplicial: its rays are (e_k, 0) for every
+    k, tight on the pure powers of the other axes, and (L/M_K, 0, L),
+    which is 0 off K and tight on every pure power; with K empty it is
+    the orthant. The rays of C and their zero sets do not depend on the
+    order in which its inequalities are added, only the work on the way
+    does, so this start saves one insertion step per pure power.
     """
     d = n + 1
     full = (1 << d) - 1
-    rays = [(tuple(int(i == k) for i in range(d)), full ^ (1 << k)) for k in range(d)]
+    # Per axis k, M_k and the zero-set bit of M_k e_k, or 0 and 0.
+    powers = [0 if i is None else points[i][k] for k, i in enumerate(pure_powers)]
+    pure = [0 if i is None else 1 << (d + i) for i in pure_powers]
+    tight = sum(pure)
+    rays = [
+        (tuple(int(i == k) for i in range(d)), (full ^ 1 << k) | (tight ^ pure[k]))
+        for k in range(n)
+    ]
+    scale = math.lcm(*filter(None, powers))
+    off = sum(1 << k for k in range(n) if not powers[k])
+    rays.append((tuple(scale // m if m else 0 for m in powers) + (scale,), off | tight))
     for j, p in enumerate(points):
+        if j in pure_powers:
+            continue
         bit = 1 << (d + j)
         pos, neg, kept = [], [], []
         for r, z in rays:
@@ -119,12 +148,14 @@ def _pull(face, dim, cuts):
 
     The facets of the face are its maximal proper intersections with the
     masks in ``cuts``; the lowest vertex is joined to the triangulations
-    of the facets that miss it.
+    of the facets that miss it. A facet has at least ``dim`` vertices,
+    and a smaller side lies in a facet, so the smaller sides are dropped
+    before the maximality test.
     """
     if face.bit_count() == dim + 1:
         return [face]
     apex = face & -face
-    sides = {face & c for c in cuts}
+    sides = {side for c in cuts if (side := face & c).bit_count() >= dim}
     sides.discard(face)
     return [
         s | apex
@@ -148,7 +179,9 @@ class NewtonPolyhedron:
     def _enumerate_facets(self):
         """Every extreme ray of C as (ray, mask of the generators it is tight on)."""
         shift = self.dimension + 1
-        return tuple((r, z >> shift) for r, z in _dual_rays(self.generators.points, self.dimension))
+        gens = self.generators
+        rays = _dual_rays(gens.points, self.dimension, gens.pure_powers)
+        return tuple((r, z >> shift) for r, z in rays)
 
     def _minimal_vertices(self):
         """Indices of the generators that are vertices: those j for which

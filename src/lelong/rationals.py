@@ -14,8 +14,11 @@ trusted set without parsing it again. A list or tuple of ints is checked
 as ints and is its own integer point; any other vector goes through
 ``exponent_vector`` and ``parse_rational``, which raise every error. The
 checked set carries what its generators alone determine (the lcm of the
-denominators, the integer points and the pure-power intercepts), so
-each is derived once per set, from the points.
+denominators, the integer points, the record of the least pure power on
+each axis and the intercepts read off it), so each is derived once per
+set, from the points. A caller that has the integer points and their
+lcm already, as ``DirectionalWeight`` does, builds the set through the
+private constructor that ends ``exponent_set``.
 """
 
 from __future__ import annotations
@@ -106,10 +109,28 @@ class _ExponentSet(tuple):
     nonnegative, deduplicated, sorted, nonempty, of one dimension in
     MIN_DIMENSION..MAX_DIMENSION. It carries ``scale``, the lcm L of the
     denominators, ``points``, the integer points L*v in sorted order (the
-    zero vector first, when it is one), ``intercepts`` and ``unreached``."""
+    zero vector first, when it is one), and, derived once on first use,
+    ``pure_powers``, ``intercepts`` and ``unreached``."""
 
     scale: int
     points: tuple[tuple[int, ...], ...]
+
+    @cached_property
+    def pure_powers(self):
+        """Per axis k, the index of the least pure power M_k e_k (M_k > 0)
+        of the set, or None when there is none.
+
+        The points are sorted, and the pure powers of one axis differ in
+        that coordinate alone, so the first one met is the least.
+        """
+        n = len(self[0])
+        least = [None] * n
+        for i, p in enumerate(self.points):
+            if p.count(0) == n - 1:
+                k = next(k for k, c in enumerate(p) if c)
+                if least[k] is None:
+                    least[k] = i
+        return tuple(least)
 
     @cached_property
     def intercepts(self):
@@ -118,17 +139,14 @@ class _ExponentSet(tuple):
 
         This is the intercept of conv(generators) + R_+^n on axis k. A 0
         entry means the zero vector is a generator; an inf entry means no
-        pure power lies on that axis: the one ``math.inf`` object.
+        pure power lies on that axis: the one ``math.inf`` object. The
+        finite entries are the set's own Fractions.
         """
-        least = [math.inf] * len(self[0])
-        for g, p in zip(self, self.points):
-            axes = [k for k, c in enumerate(p) if c]
-            if not axes:
-                return g
-            if len(axes) == 1:
-                k = axes[0]
-                least[k] = min(least[k], p[k])
-        return tuple(c if c is math.inf else Fraction(c, self.scale) for c in least)
+        if not any(self.points[0]):
+            return self[0]
+        return tuple(
+            math.inf if i is None else self[i][k] for k, i in enumerate(self.pure_powers)
+        )
 
     @cached_property
     def unreached(self):
@@ -157,10 +175,18 @@ def exponent_set(vectors) -> _ExponentSet:
         raise InvalidInputError("at least one generator is required")
     if len({len(v) for v in vecs}) != 1:
         raise InvalidInputError("generators mix dimensions")
+    scale, points = integer_scaling(vecs) if rational else (1, vecs)
+    return _checked_set(scale, points)
+
+
+def _checked_set(scale, points) -> _ExponentSet:
+    """The set of the vectors ``points`` / ``scale``, for nonnegative int
+    ``points`` of one dimension in MIN_DIMENSION..MAX_DIMENSION and the
+    lcm ``scale`` of the denominators of those vectors, which the caller
+    vouches for."""
     # Scaling by L > 0 is injective and keeps the order, so the integer
     # points L*v dedupe and sort the set as the vectors themselves would,
     # and dropping duplicates keeps the set of denominators, hence L.
-    scale, points = integer_scaling(vecs) if rational else (1, vecs)
     order = sorted(set(points))
     # The vectors are the points over L: one Fraction per distinct entry.
     values = {c: Fraction(c, scale) for c in {c for p in order for c in p}}

@@ -40,7 +40,7 @@ from operator import mul
 
 from .errors import InvalidInputError, NotPrimaryError
 from .newton import NewtonPolyhedron
-from .rationals import exponent_set, integer_scaling, positive_direction, vector
+from .rationals import _checked_set, exponent_set, integer_scaling, positive_direction, vector
 
 NEG_INFINITY = float("-inf")
 
@@ -227,9 +227,14 @@ class DirectionalWeight(MonomialWeight):
     def __init__(self, direction):
         d = self.direction = positive_direction(direction)
         n = len(d)
-        super().__init__(
-            exponent_set(tuple(1 / d[k] if i == k else 0 for i in range(n)) for k in range(n))
-        )
+        # For a_k = p_k/q_k the lcm of the denominators of the q_k/p_k is
+        # L = lcm(p_k), and the integer points are (L/p_k) q_k e_k.
+        scale = math.lcm(*(a.numerator for a in d))
+        points = [
+            tuple(scale // a.numerator * a.denominator if i == k else 0 for i in range(n))
+            for k, a in enumerate(d)
+        ]
+        super().__init__(_checked_set(scale, points))
 
 
 def _check_pair(u: HomogeneousPsh, phi: MonomialWeight):

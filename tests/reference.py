@@ -14,7 +14,12 @@ inputs scaled to integers. ``build_parser`` is the argparse parser that
 both read every argv alike. ``fraction_evaluate`` is the coordinate loop
 that ``HomogeneousPsh.evaluate`` replaced, summing on the Fraction
 generators, kept so a test can check that both give the same values and
-reject the same points.
+reject the same points. ``orthant_dual_rays`` is the double description
+that ``newton._dual_rays`` replaced, started from the orthant and paying
+one insertion step per point, pure powers included; ``pull_every_side``
+is the pulling triangulation that ``newton._pull`` replaced, testing
+every side of a face for maximality. Both are kept so tests can check
+that the replacements give the same rays, zero sets and simplices.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ import argparse
 import math
 from fractions import Fraction
 from itertools import combinations
+from operator import mul
 
 from lelong.cli import (
     _cmd_contain,
@@ -259,3 +265,66 @@ def fraction_evaluate(generators, t):
         if not dead and (best is None or val > best):
             best = val
     return NEG_INFINITY if best is None else best
+
+
+def orthant_dual_rays(points, n):
+    """Extreme rays of C for integer ``points``, as (ray, zero set) pairs.
+
+    A ray is the primitive integer vector (w, t). In a zero set, bit k < n
+    stands for w_k >= 0, bit n for t >= 0 and bit n + 1 + j for the
+    inequality of points[j]; a set bit means the inequality is tight.
+    """
+    d = n + 1
+    full = (1 << d) - 1
+    rays = [(tuple(int(i == k) for i in range(d)), full ^ (1 << k)) for k in range(d)]
+    for j, p in enumerate(points):
+        bit = 1 << (d + j)
+        pos, neg, kept = [], [], []
+        for r, z in rays:
+            s = sum(map(mul, r, p)) - r[-1]
+            if s > 0:
+                pos.append((r, z, s))
+                kept.append((r, z))
+            elif s < 0:
+                neg.append((r, z, s))
+            else:
+                kept.append((r, z | bit))
+        if neg:
+            zs = [z for _, z in rays]
+            for rp, zp, sp in pos:
+                for rq, zq, sq in neg:
+                    # Adjacent iff no third ray is tight on every inequality
+                    # tight on both (Fukuda & Prodon 1996). The two count
+                    # themselves, and distinct extreme rays have distinct
+                    # zero sets, so a third makes the count exceed 2.
+                    common = zp & zq
+                    if common.bit_count() < d - 2 or sum(
+                        z & common == common for z in zs
+                    ) > 2:
+                        continue
+                    r = tuple(sp * b - sq * a for a, b in zip(rp, rq))
+                    g = math.gcd(*r)
+                    kept.append((tuple(c // g for c in r), common | bit))
+        rays = kept
+    return rays
+
+
+def pull_every_side(face, dim, cuts):
+    """Pulling triangulation of a face of dimension ``dim``, given by its
+    vertex mask, as the vertex masks of its simplices.
+
+    The facets of the face are its maximal proper intersections with the
+    masks in ``cuts``; the lowest vertex is joined to the triangulations
+    of the facets that miss it.
+    """
+    if face.bit_count() == dim + 1:
+        return [face]
+    apex = face & -face
+    sides = {face & c for c in cuts}
+    sides.discard(face)
+    return [
+        s | apex
+        for side in sides
+        if not side & apex and not any(side & o == side and side != o for o in sides)
+        for s in pull_every_side(side, dim - 1, cuts)
+    ]

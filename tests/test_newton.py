@@ -10,12 +10,21 @@ from hypothesis import strategies as st
 
 from lelong.errors import InvalidInputError, NotPrimaryError
 from lelong.geometry import cone_point_member
-from lelong.newton import NewtonPolyhedron
+from lelong.newton import NewtonPolyhedron, _bits, _dual_rays, _pull
 from lelong.oracles import covolume_staircase_2d
+from lelong.rationals import exponent_set
 from lelong.weights import MonomialWeight
 
-from reference import polytope_volume
-from support import ASTAR, random_psh, random_weight, unit, vertex_rich
+from reference import orthant_dual_rays, polytope_volume, pull_every_side
+from support import (
+    ASTAR,
+    random_ideal,
+    random_primary_ideal,
+    random_psh,
+    random_weight,
+    unit,
+    vertex_rich,
+)
 
 
 def F(*args):
@@ -236,6 +245,83 @@ class TestAgainstReferences:
         facets = phi.polyhedron.compact_facets
         assert sum(len(f.vertex_indices) > n for f in facets) == non_simplicial
         assert_masses_match_polytope_volume(phi)
+
+
+def _start_cone_sets():
+    """Seeded checked sets at n = 2..6: weights, primary ideals, psh sets
+    (many with unreached axes) and ideals, each family's sets again over
+    rationals (L > 1), with the zero vector, and with a second, larger
+    pure power on one axis; then the vertex-rich sizes."""
+    rng = random.Random(47)
+    for n in range(2, 7):
+        for _ in range(36):
+            for gens in (
+                random_weight(rng, n).generators,
+                random_primary_ideal(rng, n).weight.generators,
+                random_psh(rng, n).generators,
+                random_ideal(rng, n).psh.generators,
+            ):
+                yield gens
+                yield exponent_set(tuple(c / rng.randint(1, 6) for c in g) for g in gens)
+                yield exponent_set([*gens, (0,) * n])
+                k = rng.randrange(n)
+                top = max(g[k] for g in gens)
+                yield exponent_set([*gens, unit(n, k, top + rng.randint(1, 3))])
+    for n, m in [(2, 32), (3, 5), (3, 6), (4, 3), (5, 2), (5, 6), (6, 5)]:
+        yield exponent_set(vertex_rich(n, m))
+
+
+def _least_pure_powers(points):
+    """Per axis, the index of the least pure power among ``points`` by
+    definition, or None."""
+    n = len(points[0])
+    least = []
+    for k in range(n):
+        on_axis = [j for j, p in enumerate(points) if p[k] and not any(p[:k] + p[k + 1 :])]
+        least.append(min(on_axis, key=lambda j: points[j][k], default=None))
+    return tuple(least)
+
+
+class TestStartCone:
+    def test_rays_and_zero_sets_equal_the_orthant_start(self):
+        # The double description started from the cone of the least pure
+        # powers gives the rays and zero sets of the one started from the
+        # orthant that inserts every point.
+        seen = {"sets": 0, "rational": 0, "zero": 0, "second power": 0, "unreached": 0}
+        for gens in _start_cone_sets():
+            points, n = gens.points, len(gens[0])
+            assert gens.pure_powers == _least_pure_powers(points)
+            rays = _dual_rays(points, n, gens.pure_powers)
+            assert sorted(rays) == sorted(orthant_dual_rays(points, n))
+            on_axes = [sum(p[k] and not any(p[:k] + p[k + 1 :]) for p in points) for k in range(n)]
+            seen["sets"] += 1
+            seen["rational"] += gens.scale > 1
+            seen["zero"] += not any(points[0])
+            seen["second power"] += max(on_axes) > 1
+            seen["unreached"] += None in gens.pure_powers
+        assert seen["sets"] >= 1000
+        assert min(seen.values()) >= 150, seen
+
+    def test_pull_gives_the_simplices_of_every_side(self):
+        # Dropping the sides with fewer than dim vertices before the
+        # maximality test leaves the triangulation of each compact facet.
+        rng = random.Random(53)
+        polys = [NewtonPolyhedron(vertex_rich(n, m)) for n, m in [(3, 6), (4, 3), (5, 6), (6, 5)]]
+        polys += [
+            random_weight(rng, n, max_exp=16).polyhedron for n in range(3, 7) for _ in range(10)
+        ]
+        non_simplicial = 0
+        for poly in polys:
+            n, ids = poly.dimension, poly._vertex_ids
+            on_vertices = sum(1 << j for j in ids)
+            cuts = [tight & on_vertices for _, tight in poly._rays]
+            for facet in poly.compact_facets:
+                face = sum(1 << ids[i] for i in facet.vertex_indices)
+                simplices = _pull(face, n - 1, cuts)
+                assert sorted(simplices) == sorted(pull_every_side(face, n - 1, cuts))
+                assert all(len(_bits(s)) == n for s in simplices)
+                non_simplicial += len(simplices) > 1
+        assert non_simplicial > 100
 
 
 @st.composite

@@ -161,12 +161,32 @@ def test_checked_set_carries_what_its_generators_define(n):
             (Fraction(1, 2), Fraction(5, 2), math.inf),
         ),
         ([(1, 1, 0), (0, 1, 1)], (math.inf,) * 3),
+        ([(5, 0), (0, 4), (3, 0), (1, 1), (7, 0), (0, 9)], (3, 4)),
+        (
+            [("7/3", 0, 0), ("5/2", 0, 0), (0, "3/4", 0), (0, 2, 0), ("1/6", "1/6", 1)],
+            (Fraction(7, 3), Fraction(3, 4), math.inf),
+        ),
+        ([("1/2", 0, 0), (0, 0, 0), (0, 3, 0), (0, 0, "4/3")], (0, 0, 0)),
     ],
-    ids=["zero-vector", "zero-vector-no-pure-power", "missing-axis", "least-on-axis", "none"],
+    ids=[
+        "zero-vector",
+        "zero-vector-no-pure-power",
+        "missing-axis",
+        "least-on-axis",
+        "none",
+        "several-on-one-axis",
+        "rational",
+        "zero-vector-rational",
+    ],
 )
 def test_intercepts_edge_cases(generators, intercepts):
     checked = exponent_set(generators)
     assert checked.intercepts == intercepts == _intercepts_by_definition(checked)
+    # An unreached axis reads the one math.inf object; every other entry
+    # is one of the set's own Fractions.
+    entries = {id(c) for g in checked for c in g}
+    for c in checked.intercepts:
+        assert c is math.inf or (type(c) is Fraction and id(c) in entries)
 
 
 def _spell(rng, c):

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,7 @@ from lelong.ideals import (
 )
 from lelong.newton import NewtonPolyhedron
 from lelong.oracles import covolume_staircase_2d
-from lelong.rationals import exponent_set
+from lelong.rationals import exponent_set, positive_direction
 from lelong.weights import (
     DirectionalWeight,
     HomogeneousPsh,
@@ -428,6 +429,59 @@ class TestExtremalDirection:
                 )])
                 assert probe.directional_lelong(direction) == 1
                 assert generalized_lelong(probe, phi, normalized=True) == 1
+
+
+@st.composite
+def spelled_directions(draw):
+    """A positive direction in dimension 2..6 whose entries are ints,
+    Fractions or unreduced "p/q" strings, with numerators drawn from a
+    small pool so that they repeat."""
+    n = draw(st.integers(2, 6))
+    numerators = st.sampled_from([1, 2, 3, 4, 6, 12, 35])
+    a = []
+    for _ in range(n):
+        p, q, k = draw(numerators), draw(st.integers(1, 9)), draw(st.integers(1, 3))
+        a.append(draw(st.sampled_from([p, Fraction(p, q), f"{p * k}/{q * k}"])))
+    return tuple(a)
+
+
+class TestDirectionalWeightSet:
+    @settings(max_examples=200, deadline=None)
+    @given(spelled_directions())
+    def test_equals_the_exponent_set_of_the_points(self, direction):
+        # The weight builds its set from the integer points (L/p_k) q_k e_k;
+        # it is the set exponent_set makes of the vectors e_k / a_k.
+        a = positive_direction(direction)
+        n = len(a)
+        want = exponent_set(tuple(1 / a[k] if i == k else 0 for i in range(n)) for k in range(n))
+        got = DirectionalWeight(direction).generators
+        assert got.scale == want.scale
+        assert got.points == want.points
+        assert got == want
+        assert [type(c) for g in got for c in g] == [type(c) for g in want for c in g]
+        assert got.intercepts == want.intercepts
+
+    @pytest.mark.parametrize(
+        "direction",
+        [
+            (0, 1),
+            (1, -2),
+            ("-1/2", 1),
+            (1, 1.5),
+            (True, 1),
+            ("1/0", 1),
+            ("x", 1),
+            ("+1", 1),
+            (1,),
+            (1,) * 7,
+            (1, None),
+        ],
+    )
+    def test_bad_direction_raises_as_positive_direction(self, direction):
+        with pytest.raises(InvalidInputError) as expected:
+            positive_direction(direction)
+        with pytest.raises(InvalidInputError, match=re.escape(str(expected.value))):
+            DirectionalWeight(direction)
 
 
 class TestFlatness:
