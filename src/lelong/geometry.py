@@ -70,6 +70,6 @@ def cone_point_member(point, generators) -> bool:
     outside; for any other the integer LP decides, on both scaled once.
     """
     gens = exponent_set(generators)
-    x = vector(point, len(gens[0]))
+    x = vector(point, len(gens.points[0]))
     *columns, x = integer_scaling([*gens, x])[1]
     return all(c >= 0 for c in x) and feasible(columns, x)

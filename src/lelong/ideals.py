@@ -7,7 +7,10 @@ Mixed multiplicities are computed through the measure aggregation path
 (one code path, verified independently by the Minkowski polarization
 oracle). An ideal builds its psh and weight on its checked exponent
 set, whose integer points (lcm L = 1) are its int generators and whose
-record of unreached axes its pure-power check reads.
+record of unreached axes its pure-power check reads; the set's Fraction
+vectors are never built. Multiplicities are ints, read off the weight's
+integer aggregates, and a containment report reads the axis
+multiplicities once and derives its exponents from them.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ class MonomialIdeal:
             v = next(v for v in vecs if any(c.denominator != 1 for c in v))
             got = ", ".join(map(format_rational, v))
             raise InvalidInputError(f"ideal exponents must be integers, got ({got})")
-        self.dimension = len(vecs[0])
+        self.dimension = len(vecs.points[0])
         self.generators = vecs.points
 
     @cached_property
@@ -98,10 +101,14 @@ def axis_multiplicities(i: PrimaryMonomialIdeal) -> tuple[int, ...]:
     return tuple(_as_int(c, "mixed multiplicity") for c in i.weight._axis_aggregates)
 
 
-def containment_exponents(i: PrimaryMonomialIdeal, p: int) -> tuple[int, ...]:
-    """Per axis, the least integer q with p/q at most the axis multiplicity."""
+def _check_p(p):
     if not isinstance(p, int) or isinstance(p, bool) or p < 1:
         raise InvalidInputError("p must be a positive integer")
+
+
+def containment_exponents(i: PrimaryMonomialIdeal, p: int) -> tuple[int, ...]:
+    """Per axis, the least integer q with p/q at most the axis multiplicity."""
+    _check_p(p)
     return tuple(-(-p // e) for e in axis_multiplicities(i))
 
 
@@ -149,10 +156,12 @@ class ContainmentReport(
 def closure_containment_check(
     j: MonomialIdeal, i: PrimaryMonomialIdeal, p: int
 ) -> ContainmentReport:
-    """Assemble the containment report for (j, i, p)."""
-    p_k = containment_exponents(i, p)
-    e = mixed_multiplicity(j, i)
+    """Assemble the containment report for (j, i, p): the axis
+    multiplicities e_k are read once, and the exponents are ceil(p / e_k)."""
+    _check_p(p)
     e_axes = axis_multiplicities(i)
+    p_k = tuple(-(-p // ek) for ek in e_axes)
+    e = mixed_multiplicity(j, i)
     # sum_k beta_k / p_k >= 1, times M = lcm(p_k).
     m = math.lcm(*p_k)
     steps = [m // q for q in p_k]

@@ -170,10 +170,9 @@ class NewtonPolyhedron:
 
     def __init__(self, generators):
         gens = self.generators = exponent_set(generators)
-        self.dimension = len(gens[0])
+        self.dimension = len(gens.points[0])
         self._rays = self._enumerate_facets()
         self._vertex_ids = self._minimal_vertices()
-        self.vertices = tuple(gens[j] for j in self._vertex_ids)
         self.compact_facets = self._compact_facets()
 
     def _enumerate_facets(self):
@@ -211,6 +210,12 @@ class NewtonPolyhedron:
             )
         facets.sort(key=lambda f: (f.normal, f.support))
         return tuple(facets)
+
+    @cached_property
+    def vertices(self):
+        """The generators that are vertices, as the set's Fraction vectors.
+        Nothing in the kernel reads them, so they are built on first use."""
+        return tuple(self.generators[j] for j in self._vertex_ids)
 
     def facet_points(self, facet: Facet):
         return tuple(self.vertices[i] for i in facet.vertex_indices)

@@ -7,24 +7,28 @@ strings). Floats, bools, Decimals and every other string are rejected
 rather than converted, so inexact values can never leak into the kernel.
 
 Validation happens once, at the boundary. ``exponent_set`` checks its
-input and returns the set as a private tuple subclass of Fraction
-vectors; handed back in, that set is returned as is, so objects derived
-from it (polyhedra, weights of ideals, the psh of an ideal) run on the
-trusted set without parsing it again. A list or tuple of ints is checked
-as ints and is its own integer point; any other vector goes through
-``exponent_vector`` and ``parse_rational``, which raise every error. The
-checked set carries what its generators alone determine (the lcm of the
-denominators, the integer points, the record of the least pure power on
-each axis and the intercepts read off it), so each is derived once per
-set, from the points. A caller that has the integer points and their
-lcm already, as ``DirectionalWeight`` does, builds the set through the
-private constructor that ends ``exponent_set``.
+input and returns the set as a private read-only sequence; handed back
+in, that set is returned as is, so objects derived from it (polyhedra,
+weights of ideals, the psh of an ideal) run on the trusted set without
+parsing it again. A list or tuple of ints is checked as ints and is its
+own integer point; any other vector goes through ``exponent_vector``
+and ``parse_rational``, which raise every error. The checked set holds
+ints: the lcm L of the denominators and the integer points L*v, from
+which it derives, once per set, the record of the least pure power on
+each axis, the unreached axes and the intercepts. Its Fraction vectors
+are built on the first read that needs them, which the kernel and the
+queries never make, so a set of int tuples builds no Fraction. A caller
+that has the integer points and their lcm already, as
+``DirectionalWeight`` does, builds the set through the private
+constructor that ends ``exponent_set``.
 """
 
 from __future__ import annotations
 
 import math
 import re
+import sys
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import cached_property
 
@@ -69,11 +73,23 @@ def parse_rational(value) -> Fraction:
 
 
 def format_rational(value) -> str:
-    """Canonical string form: decimal when integral, else "p/q"."""
+    """Canonical string form: decimal when integral, else "p/q".
+
+    A numeral past the interpreter's limit for int -> str, MAX_DIGITS
+    digits by default, raises InvalidInputError naming the limit. The
+    limit stays as it is, because it also bounds the JSON integers that
+    the input parser accepts.
+    """
     q = Fraction(value)
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+    try:
+        if q.denominator == 1:
+            return str(q.numerator)
+        return f"{q.numerator}/{q.denominator}"
+    except ValueError:
+        raise InvalidInputError(
+            f"the exact result has a numeral of more than {sys.get_int_max_str_digits()} "
+            "digits, the interpreter's limit for printing an integer"
+        ) from None
 
 
 def vector(coords, dimension: int | None = None) -> tuple[Fraction, ...]:
@@ -104,16 +120,52 @@ def positive_direction(coords, dimension: int | None = None) -> tuple[Fraction, 
     return v
 
 
-class _ExponentSet(tuple):
-    """An exponent set that ``exponent_set`` has checked: Fraction vectors,
-    nonnegative, deduplicated, sorted, nonempty, of one dimension in
-    MIN_DIMENSION..MAX_DIMENSION. It carries ``scale``, the lcm L of the
-    denominators, ``points``, the integer points L*v in sorted order (the
-    zero vector first, when it is one), and, derived once on first use,
-    ``pure_powers``, ``intercepts`` and ``unreached``."""
+class _ExponentSet(Sequence):
+    """An exponent set that ``exponent_set`` has checked: nonnegative,
+    deduplicated, sorted, nonempty, of one dimension in
+    MIN_DIMENSION..MAX_DIMENSION. It holds ints: ``scale``, the lcm L of
+    the denominators, and ``points``, the integer points L*v in sorted
+    order (the zero vector first, when it is one); ``pure_powers``,
+    ``unreached`` and ``intercepts`` are derived once, on first use.
 
-    scale: int
-    points: tuple[tuple[int, ...], ...]
+    Read as a sequence it is the tuple of its Fraction vectors v = P/L,
+    which are built once, on the first read that needs them: indexing,
+    iteration, ``==``, ``hash`` or ``repr``. It compares equal to, and
+    hashes like, that tuple. It is read-only and not a tuple subclass.
+    """
+
+    def __init__(self, scale, points):
+        self.scale = scale
+        self.points = points
+
+    @cached_property
+    def _vectors(self):
+        """The vectors P/L: one Fraction per distinct entry."""
+        values = {c: Fraction(c, self.scale) for c in {c for p in self.points for c in p}}
+        return tuple(tuple(map(values.__getitem__, p)) for p in self.points)
+
+    def __len__(self):
+        return len(self.points)
+
+    def __getitem__(self, index):
+        return self._vectors[index]
+
+    def __iter__(self):
+        return iter(self._vectors)
+
+    def __eq__(self, other):
+        if type(other) is _ExponentSet:
+            # L and the points determine the vectors, and the vectors them.
+            return self.scale == other.scale and self.points == other.points
+        if isinstance(other, tuple):
+            return self._vectors == other
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._vectors)
+
+    def __repr__(self):
+        return repr(self._vectors)
 
     @cached_property
     def pure_powers(self):
@@ -123,7 +175,7 @@ class _ExponentSet(tuple):
         The points are sorted, and the pure powers of one axis differ in
         that coordinate alone, so the first one met is the least.
         """
-        n = len(self[0])
+        n = len(self.points[0])
         least = [None] * n
         for i, p in enumerate(self.points):
             if p.count(0) == n - 1:
@@ -131,6 +183,14 @@ class _ExponentSet(tuple):
                 if least[k] is None:
                     least[k] = i
         return tuple(least)
+
+    @cached_property
+    def unreached(self):
+        """The axes without a pure power, read off the pure-power record;
+        the zero vector, when it is a generator, reaches every axis."""
+        if not any(self.points[0]):
+            return ()
+        return tuple(k for k, i in enumerate(self.pure_powers) if i is None)
 
     @cached_property
     def intercepts(self):
@@ -147,11 +207,6 @@ class _ExponentSet(tuple):
         return tuple(
             math.inf if i is None else self[i][k] for k, i in enumerate(self.pure_powers)
         )
-
-    @cached_property
-    def unreached(self):
-        """The axes without a pure power, read off the intercepts by identity."""
-        return tuple(k for k, c in enumerate(self.intercepts) if c is math.inf)
 
 
 def exponent_set(vectors) -> _ExponentSet:
@@ -187,13 +242,7 @@ def _checked_set(scale, points) -> _ExponentSet:
     # Scaling by L > 0 is injective and keeps the order, so the integer
     # points L*v dedupe and sort the set as the vectors themselves would,
     # and dropping duplicates keeps the set of denominators, hence L.
-    order = sorted(set(points))
-    # The vectors are the points over L: one Fraction per distinct entry.
-    values = {c: Fraction(c, scale) for c in {c for p in order for c in p}}
-    checked = _ExponentSet(tuple(map(values.__getitem__, p)) for p in order)
-    checked.scale = scale
-    checked.points = tuple(order)
-    return checked
+    return _ExponentSet(scale, tuple(sorted(set(points))))
 
 
 def integer_scaling(vectors) -> tuple[int, tuple[tuple[int, ...], ...]]:

@@ -17,17 +17,21 @@ exponent set:
 Generators are checked once, when an object is built from outside data,
 and the polyhedron, the extremal direction's weight and the aggregates
 run on the checked set: the pure-power check reads the set's unreached
-axes and the aggregates its integer points, so neither is derived again.
-The work is integer throughout, with one Fraction per output. Each
-atom's vertex coordinate -w_k/h is built from the integer facet normal w
-and the support h without a division. Each pairing with the measure is
+axes, the Lojasiewicz exponent its pure-power record and the aggregates
+its integer points, so none is derived again and the set's Fraction
+vectors are never built. The work is integer throughout, and each
+returned value is one Fraction, with none built before it. Each atom's
+vertex coordinate -w_k/h is built from the integer facet normal w and
+the support h without a division. Each pairing with the measure is
 written once. A psh's least value min_j <P_j, a> over its integer
 points P_j = L b_j, over L, is its directional number at a; with a = w
 and over L h, it is the psh's number at the atom of the facet (w, h),
-and the type is the least of those numbers. The aggregate brings the
-atoms' ratios mass/h to integers c over one common denominator Q, so
-each aggregate is one integer sum over Q L; the axis aggregates are
-those of the probes e_k.
+and the type is the least of those numbers, compared cross-multiplied.
+The aggregate brings the atoms' ratios mass/h to integers c over their
+least common denominator Q, computed in ints from the cone totals and
+the supports, so each aggregate is one integer sum S over Q L, and
+divided by the residual mass tau it is S tau.den over Q L tau.num; the
+axis aggregates are those of the probes e_k.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ from operator import mul
 
 from .errors import InvalidInputError, NotPrimaryError
 from .newton import NewtonPolyhedron
-from .rationals import _checked_set, exponent_set, integer_scaling, positive_direction, vector
+from .rationals import _checked_set, exponent_set, positive_direction, vector
 
 NEG_INFINITY = float("-inf")
 
@@ -54,7 +58,7 @@ class HomogeneousPsh:
 
     def __init__(self, generators):
         self.generators = exponent_set(generators)
-        self.dimension = len(self.generators[0])
+        self.dimension = len(self.generators.points[0])
 
     @cached_property
     def polyhedron(self) -> NewtonPolyhedron:
@@ -131,7 +135,9 @@ class MonomialWeight(HomogeneousPsh):
 
     @cached_property
     def _residual_mass(self) -> Fraction:
-        return math.factorial(self.dimension) * self.polyhedron.covolume()
+        # n! times the covolume: the int sum of the cone totals over L^n.
+        poly = self.polyhedron
+        return Fraction(sum(poly._facet_cone_volumes), poly.generators.scale**self.dimension)
 
     def residual_mass(self) -> Fraction:
         """Total mass of the measure; n! times the covolume. Positive."""
@@ -158,22 +164,38 @@ class MonomialWeight(HomogeneousPsh):
     @cached_property
     def _mass_over_support(self) -> tuple[int, tuple[int, ...]]:
         """The ratios mass / h of the atoms, in atom order, brought to
-        integers c over one common denominator Q, as (Q, c)."""
-        facets = self.polyhedron.compact_facets
-        ratios = [atom.mass / f.support for atom, f in zip(self.lelong_measure().atoms, facets)]
-        common, (coefficients,) = integer_scaling([ratios])
-        return common, coefficients
+        integers c over their least common denominator Q, as (Q, c).
 
-    def _aggregate(self, least, scale) -> Fraction:
+        With the cone total T, the mass is T / L^n, and for the support
+        h = a/b the ratio is T b / (L^n a); over D = L^n lcm(a) it is
+        c = T b lcm(a)/a. Dividing D and every c by their gcd leaves the
+        least common denominator, as for the ratios' own denominators.
+        """
+        poly = self.polyhedron
+        supports = [f.support for f in poly.compact_facets]
+        top = math.lcm(*(h.numerator for h in supports))
+        coefficients = [
+            total * h.denominator * (top // h.numerator)
+            for total, h in zip(poly._facet_cone_volumes, supports)
+        ]
+        common = poly.generators.scale**self.dimension * top
+        g = math.gcd(common, *coefficients)
+        return common // g, tuple(c // g for c in coefficients)
+
+    def _aggregate(self, least, scale, tau=None) -> Fraction:
         """Sum over atoms of mass * least / (scale * h), for per-atom
-        integers ``least`` in atom order: sum c * least over Q * scale.
+        integers ``least`` in atom order: sum c * least over Q * scale,
+        and over ``tau`` too when it is given.
 
         A psh u with integer points P_j = L b_j has the number
         min_j <P_j, w> / (L h) at the atom of the facet (w, h), so its
         aggregate is this with least = u._least(w) and scale = L.
         """
         common, coefficients = self._mass_over_support
-        return Fraction(sum(map(mul, coefficients, least)), common * scale)
+        total = sum(map(mul, coefficients, least))
+        if tau is None:
+            return Fraction(total, common * scale)
+        return Fraction(total * tau.denominator, common * scale * tau.numerator)
 
     @cached_property
     def _axis_aggregates(self) -> tuple[Fraction, ...]:
@@ -188,7 +210,8 @@ class MonomialWeight(HomogeneousPsh):
         aggregate over the residual mass. The simplicial weight it
         defines is the extremal upper-envelope singularity."""
         tau = self.residual_mass()
-        return DirectionalWeight(tuple(c / tau for c in self._axis_aggregates))
+        columns = zip(*(f.normal for f in self.polyhedron.compact_facets))
+        return DirectionalWeight(tuple(self._aggregate(column, 1, tau) for column in columns))
 
     def is_flat(self) -> bool:
         """True iff the polyhedron has a single compact facet, i.e. the
@@ -205,15 +228,18 @@ class MonomialWeight(HomogeneousPsh):
         minimum exactly on the axes where the atoms' coordinates differ;
         distinct atoms differ on some axis, and a flat weight has one atom.
         """
-        atoms = self.lelong_measure().atoms
+        first, *rest = (atom.vertex for atom in self.lelong_measure().atoms)
         for k in range(self.dimension):
-            if len({atom.vertex[k] for atom in atoms}) > 1:
+            if any(t[k] != first[k] for t in rest):
                 return HomogeneousPsh([tuple(int(i == k) for i in range(self.dimension))])
         return None
 
     def lojasiewicz_exponent(self) -> Fraction:
-        """Largest axis intercept of the polyhedron; finite by validity."""
-        return max(self.generators.intercepts)
+        """Largest axis intercept of the polyhedron; finite by validity:
+        the largest M_k over the least pure powers M_k e_k, over L."""
+        gens = self.generators
+        top = max(gens.points[i][k] for k, i in enumerate(gens.pure_powers))
+        return Fraction(top, gens.scale)
 
 
 class DirectionalWeight(MonomialWeight):
@@ -254,10 +280,7 @@ def generalized_lelong(u: HomogeneousPsh, phi: MonomialWeight, normalized: bool 
     """
     _check_pair(u, phi)
     least = [u._least(f.normal) for f in phi.polyhedron.compact_facets]
-    total = phi._aggregate(least, u.generators.scale)
-    if normalized:
-        return total / phi.residual_mass()
-    return total
+    return phi._aggregate(least, u.generators.scale, phi.residual_mass() if normalized else None)
 
 
 def relative_type(u: HomogeneousPsh, phi: MonomialWeight) -> Fraction:
@@ -269,8 +292,10 @@ def relative_type(u: HomogeneousPsh, phi: MonomialWeight) -> Fraction:
     recession cone; the numeric oracle cross-checks this reduction.
     """
     _check_pair(u, phi)
-    scale = u.generators.scale
-    return min(
-        Fraction(u._least(f.normal) * f.support.denominator, scale * f.support.numerator)
-        for f in phi.polyhedron.compact_facets
-    )
+    best = None
+    for f in phi.polyhedron.compact_facets:
+        # u._least(w) b / a for the support h = a/b, compared cross-multiplied.
+        num, den = u._least(f.normal) * f.support.denominator, f.support.numerator
+        if best is None or num * best[1] < best[0] * den:
+            best = num, den
+    return Fraction(best[0], best[1] * u.generators.scale)

@@ -20,6 +20,13 @@ one insertion step per point, pure powers included; ``pull_every_side``
 is the pulling triangulation that ``newton._pull`` replaced, testing
 every side of a face for maximality. Both are kept so tests can check
 that the replacements give the same rays, zero sets and simplices.
+``fraction_mass_over_support``, ``fraction_generalized_lelong``,
+``fraction_extremal_direction``, ``fraction_relative_type``,
+``fraction_flatness_witness`` and ``fraction_closure_containment_check``
+are the query code that the integer aggregates replaced, which divided
+Fractions, took the min of one Fraction per facet and read the axis
+multiplicities twice; they are kept so tests can check that the
+replacements give the same values and types.
 """
 
 from __future__ import annotations
@@ -45,8 +52,15 @@ from lelong.cli import (
 )
 from lelong.errors import InvalidInputError
 from lelong.geometry import hyperplane_normal, int_det
+from lelong.ideals import (
+    ContainmentReport,
+    GeneratorContainment,
+    axis_multiplicities,
+    containment_exponents,
+    mixed_multiplicity,
+)
 from lelong.rationals import integer_scaling, parse_rational, vector
-from lelong.weights import NEG_INFINITY
+from lelong.weights import NEG_INFINITY, HomogeneousPsh
 
 
 def dot(u, v):
@@ -328,3 +342,80 @@ def pull_every_side(face, dim, cuts):
         if not side & apex and not any(side & o == side and side != o for o in sides)
         for s in pull_every_side(side, dim - 1, cuts)
     ]
+
+
+def fraction_mass_over_support(phi):
+    """The ratios mass / h of the atoms, in atom order, brought to
+    integers c over one common denominator Q, as (Q, c)."""
+    facets = phi.polyhedron.compact_facets
+    ratios = [atom.mass / f.support for atom, f in zip(phi.lelong_measure().atoms, facets)]
+    common, (coefficients,) = integer_scaling([ratios])
+    return common, coefficients
+
+
+def _fraction_aggregate(phi, least, scale):
+    common, coefficients = fraction_mass_over_support(phi)
+    return Fraction(sum(map(mul, coefficients, least)), common * scale)
+
+
+def _fraction_residual_mass(phi):
+    return math.factorial(phi.dimension) * phi.polyhedron.covolume()
+
+
+def fraction_generalized_lelong(u, phi, normalized=False):
+    """Aggregate of u's directional numbers against phi's measure."""
+    least = [u._least(f.normal) for f in phi.polyhedron.compact_facets]
+    total = _fraction_aggregate(phi, least, u.generators.scale)
+    if normalized:
+        return total / _fraction_residual_mass(phi)
+    return total
+
+
+def fraction_extremal_direction(phi):
+    """The axis aggregates over the residual mass, as a tuple."""
+    columns = zip(*(f.normal for f in phi.polyhedron.compact_facets))
+    axis_aggregates = tuple(_fraction_aggregate(phi, column, 1) for column in columns)
+    tau = _fraction_residual_mass(phi)
+    return tuple(c / tau for c in axis_aggregates)
+
+
+def fraction_relative_type(u, phi):
+    """min over atoms of u._least(w) / (L h), one Fraction per facet."""
+    scale = u.generators.scale
+    return min(
+        Fraction(u._least(f.normal) * f.support.denominator, scale * f.support.numerator)
+        for f in phi.polyhedron.compact_facets
+    )
+
+
+def fraction_flatness_witness(phi):
+    """The first axis probe e_k on which the atoms' coordinates differ."""
+    atoms = phi.lelong_measure().atoms
+    for k in range(phi.dimension):
+        if len({atom.vertex[k] for atom in atoms}) > 1:
+            return HomogeneousPsh([tuple(int(i == k) for i in range(phi.dimension))])
+    return None
+
+
+def fraction_closure_containment_check(j, i, p):
+    """The containment report, reading the axis multiplicities twice."""
+    p_k = containment_exponents(i, p)
+    e = mixed_multiplicity(j, i)
+    e_axes = axis_multiplicities(i)
+    # sum_k beta_k / p_k >= 1, times M = lcm(p_k).
+    m = math.lcm(*p_k)
+    steps = [m // q for q in p_k]
+    rows = []
+    for beta in j.generators:
+        axis_bound = sum(b * ek for b, ek in zip(beta, e_axes)) >= p
+        closure = sum(map(mul, beta, steps)) >= m
+        literal = any(b >= q for b, q in zip(beta, p_k))
+        rows.append(GeneratorContainment(beta, axis_bound, closure, literal))
+    return ContainmentReport(
+        p=p,
+        mixed_multiplicity=e,
+        hypothesis=e >= p,
+        axis_multiplicities=e_axes,
+        exponents=p_k,
+        generators=tuple(rows),
+    )

@@ -531,7 +531,12 @@ def test_cli_contract(fuzz_dir, invocation):
     """Every subcommand, in process, on any document ends with exit 0, 2 or
     3; a nonzero exit prints exactly one stderr line, and a zero exit one
     JSON line on stdout (``plot`` writes its file instead)."""
-    command, docs, flags = invocation
+    _assert_contract(fuzz_dir, *invocation)
+
+
+def _assert_contract(fuzz_dir, command, docs, flags):
+    """Run ``command`` on ``docs`` with ``flags`` and check the contract of
+    ``test_cli_contract``."""
     argv = [command]
     for k, doc in enumerate(docs):
         path = fuzz_dir / f"doc{k}.json"
@@ -551,6 +556,59 @@ def test_cli_contract(fuzz_dir, invocation):
         assert out.getvalue() == ""
     else:
         assert out.getvalue().count("\n") == 1 and json.loads(out.getvalue())
+
+
+def _long_denominators(q, r, q2, r2):
+    """The generators (10, 0), (0, 10), (2 + 1/q, 4 + 1/r) and
+    (4 + 1/q2, 2 + 1/r2): each entry is far below MAX_DIGITS digits, but
+    the lcm L of the denominators has about four times as many, and the
+    residual mass, the atoms and the extremal direction have L^2 in
+    their denominators."""
+    def entry(whole, d):
+        return f"{whole * d + 1}/{d}"
+
+    return {"n": 2, "generators": [
+        [10, 0], [0, 10], [entry(2, q), entry(4, r)], [entry(4, q2), entry(2, r2)],
+    ]}
+
+
+# Denominators of 1 to 3 or of 1200 to 1400 digits: small ones give
+# results that print, large ones mostly results past the digit limit.
+LONG_DENOMINATORS = st.builds(
+    _long_denominators,
+    *[
+        st.one_of(st.integers(1, 3), st.integers(1200, 1400)).flatmap(
+            lambda k: st.integers(10 ** (k - 1), 10**k - 1)
+        )
+    ] * 4,
+)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    st.sampled_from(sorted(set(SUBCOMMANDS) - {"mixed", "contain"})),
+    LONG_DENOMINATORS,
+    LONG_DENOMINATORS,
+)
+def test_cli_contract_on_long_denominators(fuzz_dir, command, doc, other):
+    docs = [doc, other][: SUBCOMMANDS[command]]
+    flags = ["--a=1,2"] if command == "dir-lelong" else []
+    _assert_contract(fuzz_dir, command, docs, flags)
+
+
+@pytest.mark.parametrize("command", ["mass", "gamma", "extremal"])
+def test_result_past_the_digit_limit_exits_2(fuzz_dir, command):
+    big = [10**1199 + k for k in (7, 11, 13, 17)]
+    path = fuzz_dir / "long.json"
+    path.write_text(json.dumps(_long_denominators(*big)), encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        assert main([command, str(path)]) == 2
+    assert out.getvalue() == ""
+    assert err.getvalue() == (
+        f"the exact result has a numeral of more than {MAX_DIGITS} digits, "
+        "the interpreter's limit for printing an integer\n"
+    )
 
 
 # Valid values of each flag, written apart from it, and attached to it

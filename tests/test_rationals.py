@@ -6,6 +6,7 @@ set: what it carries equals what its generators define."""
 import math
 import operator
 import random
+from collections.abc import Sequence
 from decimal import Decimal
 from enum import IntEnum
 from fractions import Fraction
@@ -187,6 +188,42 @@ def test_intercepts_edge_cases(generators, intercepts):
     entries = {id(c) for g in checked for c in g}
     for c in checked.intercepts:
         assert c is math.inf or (type(c) is Fraction and id(c) in entries)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_checked_set_reads_as_the_tuple_of_its_vectors(n):
+    rng = random.Random(130 + n)
+    for _ in range(30):
+        spelled = _random_rational_set(rng, n)
+        checked = exponent_set(spelled)
+        vectors = tuple(sorted({tuple(map(Fraction, v)) for v in spelled}))
+        assert checked == vectors and vectors == checked
+        assert not checked != vectors and not vectors != checked
+        assert hash(checked) == hash(vectors)
+        assert {vectors: 1}[checked] == 1 and {checked: 1}[vectors] == 1
+        again = exponent_set([tuple(map(str, v)) for v in reversed(spelled)])
+        assert again is not checked and again == checked and hash(again) == hash(checked)
+        outside = (Fraction(100),) * n
+        assert checked != vectors[:-1] + (outside,) and checked != list(vectors)
+        assert len(checked) == len(vectors) == len(checked.points)
+        assert checked[-1] == vectors[-1] and checked[-len(vectors)] == vectors[0]
+        assert checked[1:] == vectors[1:] and checked[::-1] == vectors[::-1]
+        assert all(v in checked for v in vectors) and outside not in checked
+        assert list(checked) == list(vectors) and repr(checked) == repr(vectors)
+        assert checked.index(vectors[-1]) == len(vectors) - 1
+        assert exponent_set(checked) is checked
+        # The intercept entries are the set's own Fractions.
+        for k, c in enumerate(checked.intercepts):
+            assert c is math.inf or any(c is v[k] for v in checked)
+
+
+def test_checked_set_is_a_read_only_sequence_not_a_tuple():
+    checked = exponent_set(ASTAR)
+    assert isinstance(checked, Sequence) and not isinstance(checked, tuple)
+    with pytest.raises(TypeError):
+        checked + ()
+    with pytest.raises(TypeError):
+        checked[0] = (1, 1)
 
 
 def _spell(rng, c):
