@@ -4,17 +4,21 @@ The module provides the one determinant and membership in a Newton
 polyhedron. The determinant is ``int_det``: Bareiss fraction-free
 elimination on integer rows, in ints from start to finish, which the
 facet-cone volumes call directly and ``hyperplane_normal`` calls on its
-points scaled once to integers. ``cone_point_member`` checks its
-generators with ``exponent_set`` and reads its point with
-``rationals.vector`` at their dimension (one rational grammar, one
-length rule, the exponent-set rules), then scales both together once
-for the int-only LP ``linprog.feasible``, whose other caller, the Monte
-Carlo oracle, builds its ints itself. The brute-force
-volume reference for the facet-cone volumes is ``tests/reference.py``.
+points scaled once to integers. ``int_det`` eliminates in place on one
+copy of the rows. ``cone_point_member`` checks its generators with
+``exponent_set`` and reads its point with ``rationals.vector`` at their
+dimension (one rational grammar, one length rule, the exponent-set
+rules). It scales the point to the lcm L' of the set's L and the
+point's denominators, and rescales the set's integer points only when
+L' differs from L; both go to the int-only LP ``linprog.feasible``,
+whose other caller, the Monte Carlo oracle, builds its ints itself.
+The brute-force volume reference for the facet-cone volumes is
+``tests/reference.py``.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .linprog import feasible
@@ -26,24 +30,30 @@ def int_det(rows) -> int:
     elimination (Bareiss, Math. Comp. 22, 1968).
 
     Every elimination step is an exact integer division, so the work
-    stays in ints from start to finish. A zero pivot is swapped for the
-    first nonzero entry below it; a column without one makes the
+    stays in ints from start to finish. It runs in place on one copy of
+    the rows, which it leaves as they are. A zero pivot is swapped for
+    the first nonzero entry below it; a column without one makes the
     determinant zero.
     """
-    a = list(rows)
+    a = [list(r) for r in rows]
+    n = len(a)
     sign, prev = 1, 1
-    while len(a) > 1:
-        top = a[0]
-        if not top[0]:
-            swap = next((i for i in range(1, len(a)) if a[i][0]), None)
+    for k in range(n - 1):
+        top = a[k]
+        if not top[k]:
+            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
             if swap is None:
                 return 0
-            a[0], a[swap] = a[swap], top
-            top, sign = a[0], -sign
-        piv, rest = top[0], top[1:]
-        a = [[(piv * x - row[0] * y) // prev for x, y in zip(row[1:], rest)] for row in a[1:]]
+            a[k], a[swap] = a[swap], top
+            top, sign = a[k], -sign
+        piv = top[k]
+        cols = range(k + 1, n)
+        for row in a[k + 1 :]:
+            c = row[k]
+            for j in cols:
+                row[j] = (piv * row[j] - c * top[j]) // prev
         prev = piv
-    return sign * a[0][0] if a else 1
+    return sign * a[-1][-1] if a else 1
 
 
 def hyperplane_normal(points) -> tuple[Fraction, ...]:
@@ -71,5 +81,12 @@ def cone_point_member(point, generators) -> bool:
     """
     gens = exponent_set(generators)
     x = vector(point, len(gens.points[0]))
-    *columns, x = integer_scaling([*gens, x])[1]
+    # The set's points are its vectors times L, the lcm of their
+    # denominators, so one factor L'/L brings them to the common L'.
+    scale = math.lcm(gens.scale, *(c.denominator for c in x))
+    factor = scale // gens.scale
+    columns = gens.points
+    if factor != 1:
+        columns = [tuple(c * factor for c in p) for p in columns]
+    x = [c.numerator * (scale // c.denominator) for c in x]
     return all(c >= 0 for c in x) and feasible(columns, x)

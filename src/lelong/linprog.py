@@ -11,8 +11,9 @@ are fraction-free (Edmonds, J. Res. NBS 71B, 1967; the rule of Bareiss
 that ``geometry.int_det`` uses), and Bland's rule (Bland, Math. Oper.
 Res. 2, 1977) guarantees termination. It takes ints only and raises
 TypeError on anything else, as a Fraction would be floor-divided:
-``cone_point_member`` scales its generators and point together once, and
-the Monte Carlo oracle passes exact int samples.
+``cone_point_member`` brings its point and the checked set's integer
+points to one common scale, and the Monte Carlo oracle passes exact int
+samples.
 """
 
 from __future__ import annotations

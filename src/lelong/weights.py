@@ -150,8 +150,8 @@ class MonomialWeight(HomogeneousPsh):
         denominator = poly.generators.scale**self.dimension
         atoms = []
         for facet, total in zip(poly.compact_facets, poly._facet_cone_volumes):
-            h = facet.support
-            t = tuple(Fraction(-c * h.denominator, h.numerator) for c in facet.normal)
+            num, den = facet.support.as_integer_ratio()
+            t = tuple(Fraction(-c * den, num) for c in facet.normal)
             atoms.append(LelongAtom(t, Fraction(total, denominator)))
         return LelongMeasure(tuple(atoms))
 

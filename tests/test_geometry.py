@@ -13,10 +13,10 @@ from lelong.errors import InvalidInputError
 from lelong.geometry import cone_point_member, hyperplane_normal, int_det
 from lelong.linprog import feasible
 from lelong.newton import NewtonPolyhedron
-from lelong.rationals import integer_scaling
+from lelong.rationals import exponent_set, integer_scaling
 
 from reference import fraction_feasible, polytope_volume, simplex_volume
-from support import ASTAR, random_primary_ideal
+from support import ASTAR, random_primary_ideal, random_vertex_rich, vertex_rich
 
 
 def leibniz(rows):
@@ -67,6 +67,13 @@ class TestIntDet:
 
     def test_empty_matrix(self):
         assert int_det([]) == 1
+
+    def test_rows_are_left_unchanged(self):
+        # The elimination runs in place, on its own copy of the rows.
+        lists = [[0, 2, 1], [0, 1, 1], [3, 0, 0]]
+        tuples = tuple(map(tuple, lists))
+        assert int_det(lists) == 3 and lists == [[0, 2, 1], [0, 1, 1], [3, 0, 0]]
+        assert int_det(tuples) == 3 and tuples == ((0, 2, 1), (0, 1, 1), (3, 0, 0))
 
 
 class TestHyperplaneNormal:
@@ -185,6 +192,28 @@ class TestConePointMember:
         assert cone_point_member((Fraction(1, 2), Fraction(3, 2)), [(2, 0), (0, 2)])
         assert not cone_point_member((Fraction(1, 2), Fraction(3, 2) - Fraction(1, 10**12)),
                                      [(2, 0), (0, 2)])
+
+    def test_int_generators_build_no_vectors(self):
+        # The point is scaled to the set's L (rescaling the set's integer
+        # points only when the point's denominators need it), so a set of
+        # int tuples builds none of its Fraction vectors. The answers are
+        # those of scaling the generators and the point together.
+        rng = random.Random(1974)
+        sets = [vertex_rich(4, 6), random_vertex_rich(rng, 5, 4)]
+        sets += [random_primary_ideal(rng, n).weight.generators.points for n in range(2, 7)]
+        answers = []
+        for gens in sets:
+            checked = exponent_set(gens)
+            n, top = len(gens[0]), max(map(max, gens))
+            for _ in range(40):
+                den = rng.choice((1, 1, 2, 3, 7))
+                x = tuple(Fraction(rng.randint(0, top), den) for _ in range(n))
+                *int_cols, int_x = integer_scaling([*gens, x])[1]
+                answer = feasible(int_cols, int_x)
+                assert cone_point_member(x, checked) == answer, (gens, x)
+                answers.append(answer)
+            assert "_vectors" not in vars(checked)
+        assert answers.count(True) > 50 and answers.count(False) > 50
 
     def test_agrees_with_vertex_set(self):
         # x lies in P = conv(G) + R_+^n iff adding it to G leaves the vertex

@@ -21,6 +21,7 @@ from support import (
     random_ideal,
     random_primary_ideal,
     random_psh,
+    random_vertex_rich,
     random_weight,
     unit,
     vertex_rich,
@@ -198,10 +199,17 @@ def assert_masses_match_polytope_volume(phi):
 
 class TestVertexRich:
     # Residual masses and facet counts frozen from the brute-force
-    # C(V, n) facet scan.
+    # C(V, n) facet scan; the last two, where the insertion order of the
+    # double description changes its work most, from the set-order hull.
     @pytest.mark.parametrize(
         "n, m, tau, facets",
-        [(4, 4, 1504, 34), (5, 3, 613, 21), (6, 2, 76, 7)],
+        [
+            (4, 4, 1504, 34),
+            (5, 3, 613, 21),
+            (6, 2, 76, 7),
+            (5, 6, 146938, 246),
+            (6, 5, 136865, 210),
+        ],
     )
     def test_residual_mass(self, n, m, tau, facets):
         gens = vertex_rich(n, m)
@@ -247,11 +255,17 @@ class TestAgainstReferences:
         assert_masses_match_polytope_volume(phi)
 
 
+# Sizes of the random vertex-rich draws; the start cone and the pulling
+# tests take 12 of each.
+VERTEX_RICH_DRAWS = [(4, 6), (5, 5), (6, 4)]
+
+
 def _start_cone_sets():
     """Seeded checked sets at n = 2..6: weights, primary ideals, psh sets
     (many with unreached axes) and ideals, each family's sets again over
     rationals (L > 1), with the zero vector, and with a second, larger
-    pure power on one axis; then the vertex-rich sizes."""
+    pure power on one axis; then the vertex-rich sizes, and random thirds
+    of three more with their pure powers."""
     rng = random.Random(47)
     for n in range(2, 7):
         for _ in range(36):
@@ -269,6 +283,9 @@ def _start_cone_sets():
                 yield exponent_set([*gens, unit(n, k, top + rng.randint(1, 3))])
     for n, m in [(2, 32), (3, 5), (3, 6), (4, 3), (5, 2), (5, 6), (6, 5)]:
         yield exponent_set(vertex_rich(n, m))
+    for n, m in VERTEX_RICH_DRAWS:
+        for _ in range(12):
+            yield exponent_set(random_vertex_rich(rng, n, m))
 
 
 def _least_pure_powers(points):
@@ -309,6 +326,11 @@ class TestStartCone:
         polys = [NewtonPolyhedron(vertex_rich(n, m)) for n, m in [(3, 6), (4, 3), (5, 6), (6, 5)]]
         polys += [
             random_weight(rng, n, max_exp=16).polyhedron for n in range(3, 7) for _ in range(10)
+        ]
+        polys += [
+            NewtonPolyhedron(random_vertex_rich(rng, n, m))
+            for n, m in VERTEX_RICH_DRAWS
+            for _ in range(12)
         ]
         non_simplicial = 0
         for poly in polys:
