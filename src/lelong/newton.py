@@ -20,6 +20,13 @@ in order of coordinate sum. The order changes only the work: on the
 vertex-rich sets it tests no more pairs of rays for adjacency than the
 set order, and half as many at ``vertex_rich(6, 6)``: 1.24 million
 against 2.49 million.
+In the plane the rays are read off directly instead (``_plane_rays``):
+the ones with w > 0 are the edges of the lower convex chain of the
+staircase of the sorted points, found by a monotone chain (Andrew 1979)
+in time linear in the points, where the double description tests every
+pair of positive and negative rays at each step. The double description
+serves n >= 3, and at n = 2 it is the reference that the chain is
+tested against.
 Everything else is read off the rays and their zero sets:
 
 * generator j is a vertex iff it is the only generator tight on every
@@ -87,6 +94,8 @@ def _dual_rays(points, n, pure_powers):
     A ray is the primitive integer vector (w, t). In a zero set, bit k < n
     stands for w_k >= 0, bit n for t >= 0 and bit n + 1 + j for the
     inequality of points[j]; a set bit means the inequality is tight.
+    The kernel calls this for n >= 3; at n = 2 it is the reference for
+    ``_plane_rays``.
 
     ``pure_powers`` gives per axis k the index of the least pure power
     M_k e_k among the points, or None. The method starts from the cone of
@@ -155,6 +164,54 @@ def _dual_rays(points, n, pure_powers):
     return rays
 
 
+def _plane_rays(points):
+    """The (ray, zero set) pairs of ``_dual_rays`` at n = 2, in time
+    linear in the sorted integer ``points``.
+
+    The rays with t = 0 are (e_k, 0), tight on w_(1-k) = 0, on t = 0 and
+    on the points with p_k = 0. When every point has p_k > 0, (e_k, m)
+    with m = min p_k is a ray, tight on w_(1-k) = 0 and on the points
+    with p_k = m. The other rays have w > 0 and are the edges of the
+    lower convex chain of the staircase, the points lower than every
+    point before them in set order, taken by a monotone chain (Andrew,
+    Inform. Process. Lett. 9, 1979) that drops collinear points, so that
+    no two edges share a normal. The edge a -> b is the ray (w, <w, a>),
+    w = (a_y - b_y, b_x - a_x)/gcd, tight on the staircase points from a
+    to b on the edge; a dominated point is never tight on it, as w > 0.
+    """
+    bit = [1 << (3 + j) for j in range(len(points))]
+    rays = []
+    for k in (0, 1):
+        axis, other = (1 - k, k), 1 << (1 - k)
+        on_axis = sum(b for p, b in zip(points, bit) if not p[k])
+        rays.append(((*axis, 0), 1 << 2 | other | on_axis))
+        least = min(p[k] for p in points)
+        if least:
+            at_least = sum(b for p, b in zip(points, bit) if p[k] == least)
+            rays.append(((*axis, least), other | at_least))
+    stair = []
+    for j, p in enumerate(points):
+        if not stair or p[1] < points[stair[-1]][1]:
+            stair.append(j)
+    chain = []
+    for i, j in enumerate(stair):
+        bx, by = points[j]
+        while len(chain) > 1:
+            (ox, oy), (ax, ay) = points[stair[chain[-2]]], points[stair[chain[-1]]]
+            if (ax - ox) * (by - oy) > (ay - oy) * (bx - ox):
+                break
+            chain.pop()
+        chain.append(i)
+    for s, e in zip(chain, chain[1:]):
+        (ax, ay), (bx, by) = points[stair[s]], points[stair[e]]
+        g = math.gcd(ay - by, bx - ax)
+        w = ((ay - by) // g, (bx - ax) // g)
+        t = w[0] * ax + w[1] * ay
+        on_edge = sum(bit[j] for j in stair[s : e + 1] if sum(map(mul, w, points[j])) == t)
+        rays.append(((*w, t), on_edge))
+    return rays
+
+
 def _pull(face, dim, cuts):
     """Pulling triangulation of a face of dimension ``dim``, given by its
     vertex mask, as the vertex masks of its simplices.
@@ -192,7 +249,10 @@ class NewtonPolyhedron:
         """Every extreme ray of C as (ray, mask of the generators it is tight on)."""
         shift = self.dimension + 1
         gens = self.generators
-        rays = _dual_rays(gens.points, self.dimension, gens.pure_powers)
+        if self.dimension == 2:
+            rays = _plane_rays(gens.points)
+        else:
+            rays = _dual_rays(gens.points, self.dimension, gens.pure_powers)
         return tuple((r, z >> shift) for r, z in rays)
 
     def _minimal_vertices(self):

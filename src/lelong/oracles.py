@@ -40,6 +40,10 @@ def covolume_staircase_2d(generators) -> Fraction:
     Independent of the facet machinery: keeps the Pareto-minimal points,
     takes their lower hull by a monotone chain, and integrates the
     resulting piecewise-linear boundary between the two axis intercepts.
+    The kernel's plane path (``newton._plane_rays``) takes a monotone
+    chain too, but shares no code with this one: it runs on the integer
+    points and reads dual rays, and its rays are checked against the
+    double description's in the tests.
     """
     pts = exponent_set(generators)
     if len(pts[0]) != 2:

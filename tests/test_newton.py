@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lelong import newton
 from lelong.errors import InvalidInputError, NotPrimaryError
 from lelong.geometry import cone_point_member
-from lelong.newton import NewtonPolyhedron, _bits, _dual_rays, _pull
+from lelong.newton import NewtonPolyhedron, _bits, _dual_rays, _plane_rays, _pull
 from lelong.oracles import covolume_staircase_2d
 from lelong.rationals import exponent_set
 from lelong.weights import MonomialWeight
@@ -199,11 +200,15 @@ def assert_masses_match_polytope_volume(phi):
 
 class TestVertexRich:
     # Residual masses and facet counts frozen from the brute-force
-    # C(V, n) facet scan; the last two, where the insertion order of the
-    # double description changes its work most, from the set-order hull.
+    # C(V, n) facet scan; (5,6) and (6,5), where the insertion order of the
+    # double description changes its work most, from the set-order hull;
+    # the plane sizes from the staircase oracle, which the test checks
+    # again, (2,32) also as the benchmark pins it.
     @pytest.mark.parametrize(
         "n, m, tau, facets",
         [
+            (2, 32, 350208, 32),
+            (2, 300, 2700060000, 300),
             (4, 4, 1504, 34),
             (5, 3, 613, 21),
             (6, 2, 76, 7),
@@ -217,6 +222,8 @@ class TestVertexRich:
         assert phi.residual_mass() == tau
         assert len(phi.polyhedron.vertices) == len(gens)
         assert len(phi.polyhedron.compact_facets) == facets
+        if n == 2:
+            assert 2 * covolume_staircase_2d(gens) == tau
 
 
 class TestAgainstReferences:
@@ -260,12 +267,40 @@ class TestAgainstReferences:
 VERTEX_RICH_DRAWS = [(4, 6), (5, 5), (6, 4)]
 
 
+def _plane_sets(rng):
+    """Generator lists at n = 2 that the staircase chain must get right:
+    vertex_rich(2, m) for m = 1..40; every lattice point of a segment from
+    (0, a) to (b, 0), so that the chain drops collinear points; dominated
+    points that share x or y with a vertex; and ties on the least
+    coordinate, whose axis rays are tight on several points."""
+    sets = [vertex_rich(2, m) for m in range(1, 41)]
+    for _ in range(12):
+        a, b = rng.randint(1, 24), rng.randint(1, 24)
+        g = math.gcd(a, b)
+        sets.append([(i * b // g, a - i * a // g) for i in range(g + 1)])
+    for m in range(2, 14):
+        gens = vertex_rich(2, m)
+        x, y = rng.choice(gens)
+        d = rng.randint(1, 5)
+        sets.append(gens + [(x, y + d), (x + d, y)])
+    for _ in range(12):
+        x, y = rng.randint(1, 6), rng.randint(1, 6)
+        sets.append(
+            [(x, y + rng.randint(1, 9)) for _ in range(3)]
+            + [(x + rng.randint(1, 9), y) for _ in range(3)]
+            + [(x + rng.randint(0, 5), y + rng.randint(0, 5)) for _ in range(3)]
+        )
+    return sets
+
+
 def _start_cone_sets():
     """Seeded checked sets at n = 2..6: weights, primary ideals, psh sets
     (many with unreached axes) and ideals, each family's sets again over
     rationals (L > 1), with the zero vector, and with a second, larger
     pure power on one axis; then the vertex-rich sizes, and random thirds
-    of three more with their pure powers."""
+    of three more with their pure powers; then the sets of
+    ``_plane_sets``, each again with the zero vector, over rationals and
+    with the points on one axis dropped."""
     rng = random.Random(47)
     for n in range(2, 7):
         for _ in range(36):
@@ -286,6 +321,14 @@ def _start_cone_sets():
     for n, m in VERTEX_RICH_DRAWS:
         for _ in range(12):
             yield exponent_set(random_vertex_rich(rng, n, m))
+    rng = random.Random(59)
+    for gens in _plane_sets(rng):
+        yield exponent_set(gens)
+        yield exponent_set([*gens, (0, 0)])
+        yield exponent_set(tuple(Fraction(c, rng.randint(1, 6)) for c in g) for g in gens)
+        k = rng.randrange(2)
+        if any(g[k] for g in gens):
+            yield exponent_set(g for g in gens if g[k])
 
 
 def _least_pure_powers(points):
@@ -302,14 +345,17 @@ def _least_pure_powers(points):
 class TestStartCone:
     def test_rays_and_zero_sets_equal_the_orthant_start(self):
         # The double description started from the cone of the least pure
-        # powers gives the rays and zero sets of the one started from the
-        # orthant that inserts every point.
+        # powers, and at n = 2 the staircase chain, give the rays and zero
+        # sets of the double description started from the orthant that
+        # inserts every point.
         seen = {"sets": 0, "rational": 0, "zero": 0, "second power": 0, "unreached": 0}
         for gens in _start_cone_sets():
             points, n = gens.points, len(gens[0])
             assert gens.pure_powers == _least_pure_powers(points)
-            rays = _dual_rays(points, n, gens.pure_powers)
-            assert sorted(rays) == sorted(orthant_dual_rays(points, n))
+            rays = sorted(orthant_dual_rays(points, n))
+            assert sorted(_dual_rays(points, n, gens.pure_powers)) == rays
+            if n == 2:
+                assert sorted(_plane_rays(points)) == rays
             on_axes = [sum(p[k] and not any(p[:k] + p[k + 1 :]) for p in points) for k in range(n)]
             seen["sets"] += 1
             seen["rational"] += gens.scale > 1
@@ -344,6 +390,24 @@ class TestStartCone:
                 assert all(len(_bits(s)) == n for s in simplices)
                 non_simplicial += len(simplices) > 1
         assert non_simplicial > 100
+
+
+class TestPlaneRays:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8)), min_size=1, max_size=12))
+    def test_equal_the_double_description(self, gens):
+        gens = exponent_set(gens)
+        rays = _dual_rays(gens.points, 2, gens.pure_powers)
+        assert sorted(_plane_rays(gens.points)) == sorted(rays)
+
+    def test_the_plane_never_runs_the_double_description(self, monkeypatch):
+        def refuse(*args):
+            raise RuntimeError("the double description ran")
+
+        monkeypatch.setattr(newton, "_dual_rays", refuse)
+        assert NewtonPolyhedron(ASTAR).covolume() == 3
+        with pytest.raises(RuntimeError, match="double description"):
+            NewtonPolyhedron([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
 
 
 @st.composite
