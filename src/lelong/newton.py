@@ -27,19 +27,25 @@ in time linear in the points, where the double description tests every
 pair of positive and negative rays at each step. The double description
 serves n >= 3, and at n = 2 it is the reference that the chain is
 tested against.
-Everything else is read off the rays and their zero sets:
+Both return each ray with its generator mask, whose bit j is set iff
+the ray is tight on p_j. The double description also needs the bits of
+the constraints w_k >= 0 and t >= 0 for its adjacency test, but keeps
+them to itself: they follow from the ray. The masks are the one form of
+a tight set from the hull to the cone volumes, and everything else is
+read off the rays and their masks:
 
 * generator j is a vertex iff it is the only generator tight on every
-  ray tight on j (the AND of those rays' zero sets is j alone): the
-  valid inequalities tight on a vertex cut out that vertex, while a
+  ray tight on j (the AND of those rays' masks is j alone): the valid
+  inequalities tight on a vertex cut out that vertex, while a
   non-vertex lies in the relative interior of a face of dimension >= 1,
   and a vertex of that face is tight on every ray the non-vertex is;
 * the compact facets are the rays with w > 0 that are tight on some
   generator, with primitive normal w/gcd(w), support t/(L gcd(w)) and
-  the vertices of their zero set as incidence;
+  the vertices of their mask as incidence; each facet keeps that vertex
+  mask for its cone volume;
 * the cone over a compact facet is cut by a pulling triangulation of
   the facet, whose faces are the maximal intersections of its vertex
-  set with the zero sets of the other rays (an intersection with fewer
+  mask with the masks of the other rays (an intersection with fewer
   vertices than a facet of the face needs is never one), and L^n n!
   times its volume is the int sum of |int_det| over the simplices on
   the integer points;
@@ -60,7 +66,7 @@ from fractions import Fraction
 from functools import cached_property
 from operator import mul
 
-from .errors import InvalidInputError, NotPrimaryError
+from .errors import NotPrimaryError
 
 # hyperplane_normal has no caller here but stays bound in this module:
 # perfbench/test_perfbench.py checks that its tracer wraps a geometry
@@ -89,11 +95,15 @@ def _bits(mask):
 
 
 def _dual_rays(points, n, pure_powers):
-    """Extreme rays of C for integer ``points``, as (ray, zero set) pairs.
+    """Extreme rays of C for integer ``points``, as (ray, generator mask)
+    pairs.
 
-    A ray is the primitive integer vector (w, t). In a zero set, bit k < n
-    stands for w_k >= 0, bit n for t >= 0 and bit n + 1 + j for the
-    inequality of points[j]; a set bit means the inequality is tight.
+    A ray is the primitive integer vector (w, t), and bit j of its mask is
+    set iff the ray is tight on points[j]: <w, points[j]> = t. Inside, a
+    ray's zero set also carries the constraint bits that the adjacency
+    test needs, bit k < n for w_k >= 0 and bit n for t >= 0, with points[j]
+    at bit n + 1 + j. The return shifts the constraint bits out, as they
+    follow from the ray: bit k is set iff w_k = 0, and bit n iff t = 0.
     The kernel calls this for n >= 3; at n = 2 it is the reference for
     ``_plane_rays``.
 
@@ -161,34 +171,28 @@ def _dual_rays(points, n, pure_powers):
                         g = math.gcd(*r)
                         kept.append((tuple(c // g for c in r), common | bit))
         rays = kept
-    return rays
+    return [(r, z >> d) for r, z in rays]
 
 
 def _plane_rays(points):
-    """The (ray, zero set) pairs of ``_dual_rays`` at n = 2, in time
+    """The (ray, generator mask) pairs of ``_dual_rays`` at n = 2, in time
     linear in the sorted integer ``points``.
 
-    The rays with t = 0 are (e_k, 0), tight on w_(1-k) = 0, on t = 0 and
-    on the points with p_k = 0. When every point has p_k > 0, (e_k, m)
-    with m = min p_k is a ray, tight on w_(1-k) = 0 and on the points
-    with p_k = m. The other rays have w > 0 and are the edges of the
-    lower convex chain of the staircase, the points lower than every
-    point before them in set order, taken by a monotone chain (Andrew,
-    Inform. Process. Lett. 9, 1979) that drops collinear points, so that
-    no two edges share a normal. The edge a -> b is the ray (w, <w, a>),
-    w = (a_y - b_y, b_x - a_x)/gcd, tight on the staircase points from a
-    to b on the edge; a dominated point is never tight on it, as w > 0.
+    The rays with t = 0 are (e_k, 0), tight on the points with p_k = 0.
+    When every point has p_k > 0, (e_k, m) with m = min p_k is a ray,
+    tight on the points with p_k = m. The other rays have w > 0 and are
+    the edges of the lower convex chain of the staircase, the points lower
+    than every point before them in set order, taken by a monotone chain
+    (Andrew, Inform. Process. Lett. 9, 1979) that drops collinear points,
+    so that no two edges share a normal. The edge a -> b is the ray
+    (w, <w, a>), w = (a_y - b_y, b_x - a_x)/gcd, tight on the staircase
+    points from a to b on the edge; a dominated point is never tight on
+    it, as w > 0.
     """
-    bit = [1 << (3 + j) for j in range(len(points))]
     rays = []
     for k in (0, 1):
-        axis, other = (1 - k, k), 1 << (1 - k)
-        on_axis = sum(b for p, b in zip(points, bit) if not p[k])
-        rays.append(((*axis, 0), 1 << 2 | other | on_axis))
-        least = min(p[k] for p in points)
-        if least:
-            at_least = sum(b for p, b in zip(points, bit) if p[k] == least)
-            rays.append(((*axis, least), other | at_least))
+        for t in {0, min(p[k] for p in points)}:
+            rays.append(((1 - k, k, t), sum(1 << j for j, p in enumerate(points) if p[k] == t)))
     stair = []
     for j, p in enumerate(points):
         if not stair or p[1] < points[stair[-1]][1]:
@@ -207,7 +211,7 @@ def _plane_rays(points):
         g = math.gcd(ay - by, bx - ax)
         w = ((ay - by) // g, (bx - ax) // g)
         t = w[0] * ax + w[1] * ay
-        on_edge = sum(bit[j] for j in stair[s : e + 1] if sum(map(mul, w, points[j])) == t)
+        on_edge = sum(1 << j for j in stair[s : e + 1] if sum(map(mul, w, points[j])) == t)
         rays.append(((*w, t), on_edge))
     return rays
 
@@ -243,17 +247,14 @@ class NewtonPolyhedron:
         self.dimension = len(gens.points[0])
         self._rays = self._enumerate_facets()
         self._vertex_ids = self._minimal_vertices()
-        self.compact_facets = self._compact_facets()
+        self.compact_facets, self._facet_masks = self._compact_facets()
 
     def _enumerate_facets(self):
         """Every extreme ray of C as (ray, mask of the generators it is tight on)."""
-        shift = self.dimension + 1
         gens = self.generators
         if self.dimension == 2:
-            rays = _plane_rays(gens.points)
-        else:
-            rays = _dual_rays(gens.points, self.dimension, gens.pure_powers)
-        return tuple((r, z >> shift) for r, z in rays)
+            return _plane_rays(gens.points)
+        return _dual_rays(gens.points, self.dimension, gens.pure_powers)
 
     def _minimal_vertices(self):
         """Indices of the generators that are vertices: those j for which
@@ -266,10 +267,13 @@ class NewtonPolyhedron:
 
     def _compact_facets(self):
         """The rays with w > 0 that are tight on some generator, as Facets
-        sorted by normal. Such a ray is (w, min_j <w, p_j>) and primitive,
-        so its primitive normal determines it: the normals are distinct,
-        and the sort never reads past them."""
-        position = {j: i for i, j in enumerate(self._vertex_ids)}
+        sorted by normal, and the mask of each one's vertices in the same
+        order. Such a ray is (w, min_j <w, p_j>) and primitive, so its
+        primitive normal determines it: the normals are distinct, and the
+        sort never reads past them."""
+        ids = self._vertex_ids
+        position = {j: i for i, j in enumerate(ids)}
+        on_vertices = sum(1 << j for j in ids)
         scale = self.generators.scale
         facets = []
         for r, tight in self._rays:
@@ -279,15 +283,11 @@ class NewtonPolyhedron:
             g = math.gcd(*w)
             if g != 1:
                 w = tuple(c // g for c in w)
-            facets.append(
-                Facet(
-                    w,
-                    Fraction(r[-1], scale * g),
-                    tuple(position[j] for j in _bits(tight) if j in position),
-                )
-            )
+            mask = tight & on_vertices
+            indices = tuple(position[j] for j in _bits(mask))
+            facets.append((Facet(w, Fraction(r[-1], scale * g), indices), mask))
         facets.sort()
-        return tuple(facets)
+        return tuple(f for f, _ in facets), tuple(m for _, m in facets)
 
     @cached_property
     def vertices(self):
@@ -307,16 +307,14 @@ class NewtonPolyhedron:
     def _facet_cone_volumes(self):
         """Per compact facet, the int L^n n! times the volume of the cone
         over it: the sum of |int_det| over the simplices of its
-        triangulation on the integer points."""
+        triangulation on the integer points. A face's mask holds vertices
+        only, so a ray's mask cuts it as its vertex part would."""
         n = self.dimension
-        ids = self._vertex_ids
-        on_vertices = sum(1 << j for j in ids)
-        cuts = [tight & on_vertices for _, tight in self._rays]
+        cuts = [tight for _, tight in self._rays]
         points = self.generators.points
-        faces = [sum(1 << ids[i] for i in f.vertex_indices) for f in self.compact_facets]
         return tuple(
             sum(abs(int_det([points[j] for j in _bits(s)])) for s in _pull(face, n - 1, cuts))
-            for face in faces
+            for face in self._facet_masks
         )
 
     def covolume(self) -> Fraction:
@@ -325,16 +323,6 @@ class NewtonPolyhedron:
             raise NotPrimaryError("covolume is infinite: some axis is never reached")
         denominator = self.generators.scale**self.dimension * math.factorial(self.dimension)
         return Fraction(sum(self._facet_cone_volumes), denominator)
-
-    def minkowski_sum(self, other: "NewtonPolyhedron") -> "NewtonPolyhedron":
-        if self.dimension != other.dimension:
-            raise InvalidInputError("Minkowski sum needs equal dimensions")
-        sums = [
-            tuple(a + b for a, b in zip(p, q))
-            for p in self.vertices
-            for q in other.vertices
-        ]
-        return NewtonPolyhedron(sums)
 
     def __repr__(self):
         verts = ", ".join(str(tuple(map(str, v))) for v in self.vertices)

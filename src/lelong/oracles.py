@@ -4,10 +4,11 @@ Each oracle recomputes a kernel quantity by different means: an exact
 2-D staircase sum for covolumes, seeded Monte Carlo volume estimates
 whose every sample is an int vector decided exactly by the integer
 membership LP of ``linprog`` on the checked generators (no kernel code,
-not even the vertex reduction), polarization over
-``NewtonPolyhedron.minkowski_sum`` for mixed multiplicities, direct
-liminf sampling for directional numbers and relative types, and a
-sampled quasi-triangle inequality for directional weights.
+not even the vertex reduction), polarization over Minkowski sums, each
+the polyhedron of the pairwise sums of the two ideals' generators, for
+mixed multiplicities, direct liminf sampling for directional numbers
+and relative types, and a sampled quasi-triangle inequality for
+directional weights.
 Floating-point oracles report values and tolerances; they never feed
 back into exact results. Sample counts, seeds and grid depths must be
 ints, and the quasi-triangle constant a finite real; anything else is an
@@ -37,9 +38,10 @@ from .weights import HomogeneousPsh, MonomialWeight
 def covolume_staircase_2d(generators) -> Fraction:
     """Exact 2-D covolume as a trapezoid sum under the staircase.
 
-    Independent of the facet machinery: keeps the Pareto-minimal points,
-    takes their lower hull by a monotone chain, and integrates the
-    resulting piecewise-linear boundary between the two axis intercepts.
+    Independent of the facet machinery: in one pass over the sorted set,
+    keeps the Pareto-minimal points and takes their lower hull by a
+    monotone chain, then integrates the resulting piecewise-linear
+    boundary between the two axis intercepts.
     The kernel's plane path (``newton._plane_rays``) takes a monotone
     chain too, but shares no code with this one: it runs on the integer
     points and reads dual rays, and its rays are checked against the
@@ -51,14 +53,12 @@ def covolume_staircase_2d(generators) -> Fraction:
     for k in range(2):
         if not any(p[k] > 0 and p[1 - k] == 0 for p in pts):
             raise NotPrimaryError(f"no pure power on axis {k}")
-    minimal = [
-        p
-        for p in pts
-        if not any(q != p and q[0] <= p[0] and q[1] <= p[1] for q in pts)
-    ]
-    minimal.sort()
     hull: list[tuple[Fraction, Fraction]] = []
-    for p in minimal:
+    for p in pts:
+        # The set is sorted, so p is Pareto-minimal iff it is lower than
+        # every point before it, and the last point kept is the lowest.
+        if hull and p[1] >= hull[-1][1]:
+            continue
         while len(hull) >= 2:
             a, b = hull[-2], hull[-1]
             cross = (b[0] - a[0]) * (p[1] - a[1]) - (b[1] - a[1]) * (p[0] - a[0])
@@ -150,11 +150,12 @@ def mixed_multiplicity_polarization(
 ) -> Fraction:
     """Mixed multiplicity via dilated Minkowski sums.
 
-    Evaluates T(t) = n! covol(Gamma_i + t Gamma_j) at t = 0..n, each sum
-    taken by ``NewtonPolyhedron.minkowski_sum`` of i's polyhedron and the
-    polyhedron on the dilated vertices t v of Gamma_j, takes the exact
-    slope of the degree-n polynomial at t = 0 from their forward
-    differences, and returns it over n. Entirely disjoint from the
+    Evaluates T(t) = n! covol(Gamma_i + t Gamma_j) at t = 0..n: T(0) is the
+    residual mass of i's weight, and for t >= 1, Gamma_i + t Gamma_j is the
+    Newton polyhedron of the sums a + t b over the int generators a of i
+    and b of j, so T(t) is the residual mass of the weight on those sums.
+    Takes the exact slope of the degree-n polynomial at t = 0 from their
+    forward differences, and returns it over n. Entirely disjoint from the
     measure aggregation path.
     """
     if not isinstance(j, PrimaryMonomialIdeal) or not isinstance(i, PrimaryMonomialIdeal):
@@ -162,12 +163,10 @@ def mixed_multiplicity_polarization(
     if j.dimension != i.dimension:
         raise InvalidInputError("ideals have different dimensions")
     n = i.dimension
-    gamma_i = i.weight.polyhedron
-    vj = j.weight.polyhedron.vertices
-    values = []
-    for t in range(n + 1):
-        t_gamma_j = NewtonPolyhedron([tuple(t * c for c in v) for v in vj])
-        values.append(math.factorial(n) * gamma_i.minkowski_sum(t_gamma_j).covolume())
+    values = [i.weight.residual_mass()]
+    for t in range(1, n + 1):
+        sums = [tuple(a + t * b for a, b in zip(p, q)) for p in i.generators for q in j.generators]
+        values.append(MonomialWeight(sums).residual_mass())
     return _slope_at_zero(values) / n
 
 

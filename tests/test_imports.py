@@ -1,0 +1,58 @@
+"""No module of the package imports a name that it never reads."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "lelong"
+NOQA = "# noqa: F401"
+
+
+def unused_imports(source):
+    """The names that ``source`` binds by import and never reads, sorted.
+
+    ``__future__`` features, the names listed in ``__all__`` and the names
+    imported on a line marked ``# noqa: F401`` count as read.
+    """
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    imported = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        for alias in node.names:
+            if NOQA not in lines[node.lineno - 1] and NOQA not in lines[alias.lineno - 1]:
+                imported.add(alias.asname or alias.name.split(".")[0])
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            read |= set(ast.literal_eval(node.value))
+    return sorted(imported - read)
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_every_import_is_read(path):
+    assert unused_imports(path.read_text()) == []
+
+
+def test_the_guard_finds_an_unused_name():
+    source = (
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "from .errors import InvalidInputError, NotPrimaryError\n"
+        "from .geometry import (\n"
+        "    hyperplane_normal,  # noqa: F401\n"
+        "    int_det,\n"
+        ")\n"
+        "from .newton import Facet\n"
+        "__all__ = ['Facet']\n"
+        "def f(x: int_det) -> None:\n"
+        "    raise NotPrimaryError(os.sep)\n"
+    )
+    assert unused_imports(source) == ["InvalidInputError"]
+    assert unused_imports(source.replace("int_det)", "None)")) == ["InvalidInputError", "int_det"]

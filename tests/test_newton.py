@@ -1,4 +1,6 @@
-"""Newton polyhedron construction, covolume, intercepts, Minkowski sums."""
+"""Newton polyhedron construction, covolume, intercepts, and the
+polyhedra of pairwise generator sums (Minkowski sums); the hull routines
+against the orthant double description, on generator masks."""
 
 import math
 import random
@@ -159,18 +161,24 @@ class TestAxisIntercepts:
         assert NewtonPolyhedron([(0, 0), (1, 2)]).axis_intercepts == (0, 0)
 
 
+def minkowski(left, right):
+    """The polyhedron of the pairwise sums of two generator lists, which is
+    the Minkowski sum of their polyhedra."""
+    return NewtonPolyhedron([tuple(a + b for a, b in zip(p, q)) for p in left for q in right])
+
+
 class TestMinkowski:
     def test_hand_hull(self):
-        left = NewtonPolyhedron(ASTAR)
-        right = NewtonPolyhedron([(2, 0), (0, 2)])
-        total = left.minkowski_sum(right)
-        assert total.vertices == (F(0, 5), F(1, 3), F(3, 1), F(5, 0))
+        hull = (F(0, 5), F(1, 3), F(3, 1), F(5, 0))
+        assert minkowski(ASTAR, [(2, 0), (0, 2)]).vertices == hull
+        # A generator that is no vertex adds only sums inside the polyhedron.
+        assert minkowski(ASTAR, [(2, 0), (0, 2), (1, 1)]).vertices == hull
 
     def test_doubling_scales_covolume(self):
         for n in (2, 3):
             gens = [tuple(int(i == k) for i in range(n)) for k in range(n)]
             poly = NewtonPolyhedron(gens)
-            doubled = poly.minkowski_sum(poly)
+            doubled = minkowski(gens, gens)
             assert doubled.vertices == tuple(
                 tuple(2 * c for c in v) for v in poly.vertices
             )
@@ -178,13 +186,9 @@ class TestMinkowski:
 
     def test_identity_element(self):
         poly = NewtonPolyhedron(ASTAR)
-        total = poly.minkowski_sum(NewtonPolyhedron([(0, 0)]))
+        total = minkowski(ASTAR, [(0, 0)])
         assert total.dimension == poly.dimension
         assert total.vertices == poly.vertices
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(InvalidInputError):
-            NewtonPolyhedron(ASTAR).minkowski_sum(NewtonPolyhedron([(1, 0, 0)]))
 
 
 def assert_masses_match_polytope_volume(phi):
@@ -342,20 +346,34 @@ def _least_pure_powers(points):
     return tuple(least)
 
 
+def _generator_masks(rays, n):
+    """The orthant reference's (ray, zero set) pairs as the hull routines
+    return them, sorted: the zero sets shifted right past the n + 1
+    constraint bits. Those bits follow from the ray, so nothing is lost:
+    bit k < n is set iff w_k = 0, and bit n iff t = 0."""
+    for r, z in rays:
+        assert z & ((1 << (n + 1)) - 1) == sum(1 << k for k, c in enumerate(r) if not c)
+    return sorted((r, z >> (n + 1)) for r, z in rays)
+
+
 class TestStartCone:
     def test_rays_and_zero_sets_equal_the_orthant_start(self):
         # The double description started from the cone of the least pure
-        # powers, and at n = 2 the staircase chain, give the rays and zero
-        # sets of the double description started from the orthant that
-        # inserts every point.
+        # powers, and at n = 2 the staircase chain, give the rays and the
+        # generator masks of the double description started from the
+        # orthant that inserts every point; the masks index the points only.
         seen = {"sets": 0, "rational": 0, "zero": 0, "second power": 0, "unreached": 0}
         for gens in _start_cone_sets():
             points, n = gens.points, len(gens[0])
             assert gens.pure_powers == _least_pure_powers(points)
-            rays = sorted(orthant_dual_rays(points, n))
-            assert sorted(_dual_rays(points, n, gens.pure_powers)) == rays
+            rays = _generator_masks(orthant_dual_rays(points, n), n)
+            hull = _dual_rays(points, n, gens.pure_powers)
+            assert sorted(hull) == rays
+            assert all(z >> len(points) == 0 for _, z in hull)
             if n == 2:
-                assert sorted(_plane_rays(points)) == rays
+                plane = _plane_rays(points)
+                assert sorted(plane) == rays
+                assert all(z >> len(points) == 0 for _, z in plane)
             on_axes = [sum(p[k] and not any(p[:k] + p[k + 1 :]) for p in points) for k in range(n)]
             seen["sets"] += 1
             seen["rational"] += gens.scale > 1
@@ -381,10 +399,10 @@ class TestStartCone:
         non_simplicial = 0
         for poly in polys:
             n, ids = poly.dimension, poly._vertex_ids
-            on_vertices = sum(1 << j for j in ids)
-            cuts = [tight & on_vertices for _, tight in poly._rays]
-            for facet in poly.compact_facets:
-                face = sum(1 << ids[i] for i in facet.vertex_indices)
+            cuts = [tight for _, tight in poly._rays]
+            assert len(poly._facet_masks) == len(poly.compact_facets)
+            for facet, face in zip(poly.compact_facets, poly._facet_masks):
+                assert face == sum(1 << ids[i] for i in facet.vertex_indices)
                 simplices = _pull(face, n - 1, cuts)
                 assert sorted(simplices) == sorted(pull_every_side(face, n - 1, cuts))
                 assert all(len(_bits(s)) == n for s in simplices)
@@ -397,8 +415,11 @@ class TestPlaneRays:
     @given(st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8)), min_size=1, max_size=12))
     def test_equal_the_double_description(self, gens):
         gens = exponent_set(gens)
-        rays = _dual_rays(gens.points, 2, gens.pure_powers)
-        assert sorted(_plane_rays(gens.points)) == sorted(rays)
+        rays = _generator_masks(orthant_dual_rays(gens.points, 2), 2)
+        assert sorted(_dual_rays(gens.points, 2, gens.pure_powers)) == rays
+        plane = _plane_rays(gens.points)
+        assert sorted(plane) == rays
+        assert all(z >> len(gens) == 0 for _, z in plane)
 
     def test_the_plane_never_runs_the_double_description(self, monkeypatch):
         def refuse(*args):

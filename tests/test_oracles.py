@@ -144,7 +144,8 @@ class TestPolarization:
             j = random_primary_ideal(rng, 2, max_exp=6)
             pi = NewtonPolyhedron(i.generators)
             pj = NewtonPolyhedron(j.generators)
-            total = 2 * pi.minkowski_sum(pj).covolume()
+            sums = [tuple(map(sum, zip(a, b))) for a in i.generators for b in j.generators]
+            total = 2 * NewtonPolyhedron(sums).covolume()
             expected = (
                 2 * pi.covolume()
                 + 2 * mixed_multiplicity(j, i)
@@ -157,6 +158,30 @@ class TestPolarization:
             mixed_multiplicity_polarization(
                 PrimaryMonomialIdeal(ASTAR).psh, PrimaryMonomialIdeal(ASTAR)
             )
+
+    def test_dimension_mismatch(self):
+        m3 = PrimaryMonomialIdeal([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+        with pytest.raises(InvalidInputError, match="^ideals have different dimensions$"):
+            mixed_multiplicity_polarization(m3, PrimaryMonomialIdeal(ASTAR))
+
+    def test_one_polyhedron_per_dilation(self, monkeypatch):
+        # With i's weight built (the mixed multiplicity reads its facets),
+        # T(0) builds no hull and each T(t), t = 1..n, one hull of pairwise
+        # sums: j's own polyhedron is never built.
+        rng = random.Random(48)
+        i = random_primary_ideal(rng, 3, max_exp=6)
+        j = random_primary_ideal(rng, 3, max_exp=6)
+        expected = mixed_multiplicity(j, i)
+        built = []
+        init = NewtonPolyhedron.__init__
+
+        def counting(self, generators):
+            built.append(generators)
+            init(self, generators)
+
+        monkeypatch.setattr(NewtonPolyhedron, "__init__", counting)
+        assert mixed_multiplicity_polarization(j, i) == expected
+        assert len(built) == 3
 
 
 class TestNumericDirectional:
