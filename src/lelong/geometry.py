@@ -1,19 +1,20 @@
 """Exact geometric predicates.
 
 The module provides the one determinant and membership in a Newton
-polyhedron. The determinant is ``int_det``: Bareiss fraction-free
-elimination on integer rows, in ints from start to finish, which the
-facet-cone volumes call directly and ``hyperplane_normal`` calls on its
-points scaled once to integers. ``int_det`` eliminates in place on one
-copy of the rows. ``cone_point_member`` checks its generators with
-``exponent_set`` and reads its point with ``rationals.vector`` at their
-dimension (one rational grammar, one length rule, the exponent-set
-rules). It scales the point to the lcm L' of the set's L and the
-point's denominators, and rescales the set's integer points only when
-L' differs from L; both go to the int-only LP ``linprog.feasible``,
-whose other caller, the Monte Carlo oracle, builds its ints itself.
-The brute-force volume reference for the facet-cone volumes is
-``tests/reference.py``.
+polyhedron. The determinant is ``int_det`` on integer rows, in ints from
+start to finish, which the facet-cone volumes call directly and
+``hyperplane_normal`` calls on its points scaled once to integers. It
+expands 2 x 2 and 3 x 3 matrices by cofactors, the sizes of most facet
+cones, and runs Bareiss fraction-free elimination on the others, in
+place on one copy of the rows. ``cone_point_member`` checks its
+generators with ``exponent_set`` and reads its point with
+``rationals.vector`` at their dimension (one rational grammar, one
+length rule, the exponent-set rules). It scales the point to the lcm L'
+of the set's L and the point's denominators, and rescales the set's
+integer points only when L' differs from L; both go to the int-only LP
+``linprog.feasible``, whose other caller, the Monte Carlo oracle, builds
+its ints itself. The brute-force volume reference for the facet-cone
+volumes is ``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -26,17 +27,23 @@ from .rationals import exponent_set, integer_scaling, vector
 
 
 def int_det(rows) -> int:
-    """Determinant of a square integer matrix by Bareiss fraction-free
-    elimination (Bareiss, Math. Comp. 22, 1968).
+    """Determinant of a square integer matrix, in ints from start to finish.
 
-    Every elimination step is an exact integer division, so the work
-    stays in ints from start to finish. It runs in place on one copy of
-    the rows, which it leaves as they are. A zero pivot is swapped for
-    the first nonzero entry below it; a column without one makes the
-    determinant zero.
+    A 2 x 2 or 3 x 3 matrix is expanded by cofactors, with no division.
+    Every other size goes through Bareiss fraction-free elimination
+    (Bareiss, Math. Comp. 22, 1968), whose every step is an exact integer
+    division. It runs in place on one copy of the rows, which it leaves
+    as they are. A zero pivot is swapped for the first nonzero entry
+    below it; a column without one makes the determinant zero.
     """
+    n = len(rows)
+    if n == 2:
+        (a, b), (c, d) = rows
+        return a * d - b * c
+    if n == 3:
+        (a, b, c), (d, e, f), (g, h, i) = rows
+        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
     a = [list(r) for r in rows]
-    n = len(a)
     sign, prev = 1, 1
     for k in range(n - 1):
         top = a[k]

@@ -167,9 +167,11 @@ def _dual_rays(points, n, pure_powers):
                             if seen > 2:
                                 break
                     else:
-                        r = tuple(sp * b - sq * a for a, b in zip(rp, rq))
+                        r = [sp * b - sq * a for a, b in zip(rp, rq)]
                         g = math.gcd(*r)
-                        kept.append((tuple(c // g for c in r), common | bit))
+                        if g != 1:
+                            r = [c // g for c in r]
+                        kept.append((tuple(r), common | bit))
         rays = kept
     return [(r, z >> d) for r, z in rays]
 
@@ -270,24 +272,29 @@ class NewtonPolyhedron:
         sorted by normal, and the mask of each one's vertices in the same
         order. Such a ray is (w, min_j <w, p_j>) and primitive, so its
         primitive normal determines it: the normals are distinct, and the
-        sort never reads past them."""
+        sort never reads past them. It sorts plain rows, and builds each
+        Facet only after the sort."""
         ids = self._vertex_ids
         position = {j: i for i, j in enumerate(ids)}
         on_vertices = sum(1 << j for j in ids)
         scale = self.generators.scale
-        facets = []
+        rows = []
         for r, tight in self._rays:
             w = r[:-1]
             if not tight or 0 in w:
                 continue
             g = math.gcd(*w)
             if g != 1:
-                w = tuple(c // g for c in w)
-            mask = tight & on_vertices
-            indices = tuple(position[j] for j in _bits(mask))
-            facets.append((Facet(w, Fraction(r[-1], scale * g), indices), mask))
-        facets.sort()
-        return tuple(f for f, _ in facets), tuple(m for _, m in facets)
+                w = tuple([c // g for c in w])
+            rows.append((w, r[-1], scale * g, tight & on_vertices))
+        rows.sort()
+        facets = tuple(
+            [
+                Facet(w, Fraction(t, denominator), tuple([position[j] for j in _bits(mask)]))
+                for w, t, denominator, mask in rows
+            ]
+        )
+        return facets, tuple([row[-1] for row in rows])
 
     @cached_property
     def vertices(self):
@@ -312,10 +319,13 @@ class NewtonPolyhedron:
         n = self.dimension
         cuts = [tight for _, tight in self._rays]
         points = self.generators.points
-        return tuple(
-            sum(abs(int_det([points[j] for j in _bits(s)])) for s in _pull(face, n - 1, cuts))
-            for face in self._facet_masks
-        )
+        volumes = []
+        for face in self._facet_masks:
+            total = 0
+            for s in _pull(face, n - 1, cuts):
+                total += abs(int_det([points[j] for j in _bits(s)]))
+            volumes.append(total)
+        return tuple(volumes)
 
     def covolume(self) -> Fraction:
         """Volume of R_+^n minus the polyhedron, summed facet cone by cone."""

@@ -151,7 +151,7 @@ class MonomialWeight(HomogeneousPsh):
         atoms = []
         for facet, total in zip(poly.compact_facets, poly._facet_cone_volumes):
             num, den = facet.support.as_integer_ratio()
-            t = tuple(Fraction(-c * den, num) for c in facet.normal)
+            t = tuple([Fraction(-c * den, num) for c in facet.normal])
             atoms.append(LelongAtom(t, Fraction(total, denominator)))
         return LelongMeasure(tuple(atoms))
 

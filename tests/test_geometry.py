@@ -30,11 +30,11 @@ def leibniz(rows):
 
 
 @st.composite
-def square_matrices(draw, entries=st.integers(-9, 9)):
-    """Square matrices of size 1..6: unconstrained, with a zero leading
-    minor of some order k (so elimination meets a zero pivot at step k
-    and must swap rows), or singular (one row a multiple of another, or
-    a zero row)."""
+def square_matrices(draw, entries=st.integers(-9, 9) | st.integers(-(10**30), 10**30)):
+    """Square matrices of size 1..6, with entries in -9..9 or up to 10^30
+    in size: unconstrained, with a zero leading minor of some order k (so
+    elimination meets a zero pivot at step k and must swap rows), or
+    singular (one row a multiple of another, or a zero row)."""
     n = draw(st.integers(1, 6))
     rows = [draw(st.lists(entries, min_size=n, max_size=n)) for _ in range(n)]
     shape = draw(st.sampled_from(("any", "zero_pivot", "singular")))
@@ -59,11 +59,22 @@ class TestIntDet:
         assert type(got) is int and got == leibniz(rows)
 
     def test_zero_pivots_are_swapped(self):
+        # 2 x 2 and 3 x 3 take the cofactor expansion.
         assert int_det([[0, 1], [1, 0]]) == -1
         assert int_det([[0, 2, 1], [0, 1, 1], [3, 0, 0]]) == 3
         # Leading 2x2 minor zero: the pivot of the second step is zero.
         assert int_det([[1, 2, 0], [2, 4, 1], [0, 1, 1]]) == -1
         assert int_det([[0, 0], [1, 2]]) == 0
+        # Bareiss at 4 x 4 and 5 x 5: a zero first pivot, then a zero
+        # leading 2x2 minor.
+        for rows in (
+            [[0, 1, 2, 3], [1, 0, 1, 2], [2, 1, 0, 1], [3, 2, 1, 5]],
+            [[1, 2, 0, 1], [2, 4, 1, 3], [0, 1, 1, 2], [3, 1, 2, 4]],
+            [[0, 2, 1, 0, 3], [0, 1, 1, 2, 1], [4, 0, 0, 1, 2], [1, 3, 2, 0, 1], [2, 1, 0, 3, 1]],
+            [[1, 2, 0, 1, 3], [2, 4, 1, 3, 1], [0, 1, 3, 2, 0], [3, 1, 2, 0, 1], [1, 0, 2, 1, 4]],
+        ):
+            assert rows[0][0] == 0 or rows[0][0] * rows[1][1] == rows[0][1] * rows[1][0]
+            assert int_det(rows) == leibniz(rows) != 0
 
     def test_empty_matrix(self):
         assert int_det([]) == 1

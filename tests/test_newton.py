@@ -258,9 +258,18 @@ class TestAgainstReferences:
             if isinstance(u, MonomialWeight):
                 assert_masses_match_polytope_volume(u)
 
-    @pytest.mark.parametrize("n, m, non_simplicial", [(4, 2, 1), (4, 3, 4)])
-    def test_masses_on_non_simplicial_facets(self, n, m, non_simplicial):
-        phi = MonomialWeight(vertex_rich(n, m))
+    # The whole family when the seed is None, else a seeded random third of
+    # it with the pure powers: pulled facets at n = 5 and 6 as well.
+    @pytest.mark.parametrize(
+        "n, m, seed, non_simplicial",
+        [(4, 2, None, 1), (4, 3, None, 4), (4, 5, 1, 3), (5, 4, 1, 13), (6, 3, 1, 14)],
+        ids=["4-2-1", "4-3-4", "draw-4-5-3", "draw-5-4-13", "draw-6-3-14"],
+    )
+    def test_masses_on_non_simplicial_facets(self, n, m, seed, non_simplicial):
+        if seed is None:
+            phi = MonomialWeight(vertex_rich(n, m))
+        else:
+            phi = MonomialWeight(random_vertex_rich(random.Random(seed), n, m))
         facets = phi.polyhedron.compact_facets
         assert sum(len(f.vertex_indices) > n for f in facets) == non_simplicial
         assert_masses_match_polytope_volume(phi)
