@@ -11,8 +11,9 @@ and the multiplicity theory of monomial ideals built on top of them.
 
 Floating point appears in three places: :mod:`lelong.oracles`, which
 re-derives selected values by independent means (staircase sums, Monte
-Carlo, Minkowski polarization, direct liminf sampling) for verification;
-:mod:`lelong.render`, which draws its SVG in floats; and
+Carlo, Minkowski polarization) for verification, its Monte Carlo
+estimate being a float; :mod:`lelong.render`, which draws its SVG in
+floats; and
 ``HomogeneousPsh.evaluate``, which takes the float -inf as a coordinate
 and returns it when every term is -inf.
 """

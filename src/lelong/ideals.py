@@ -9,8 +9,8 @@ oracle). An ideal builds its psh and weight on its checked exponent
 set, whose integer points (lcm L = 1) are its int generators and whose
 record of unreached axes its pure-power check reads; the set's Fraction
 vectors are never built. Multiplicities are ints, read off the weight's
-integer aggregates, and a containment report reads the axis
-multiplicities once and derives its exponents from them.
+integer aggregates, and a containment report takes its exponents from
+``containment_exponents``, so the rule ceil(p / e_k) is written once.
 """
 
 from __future__ import annotations
@@ -68,10 +68,14 @@ class PrimaryMonomialIdeal(MonomialIdeal):
         return MonomialWeight(self._exponents)
 
 
+def _require_primary(ideal, message):
+    if not isinstance(ideal, PrimaryMonomialIdeal):
+        raise NotPrimaryError(message)
+
+
 def samuel_multiplicity(ideal: PrimaryMonomialIdeal) -> int:
     """Residual mass of the associated weight; a positive integer."""
-    if not isinstance(ideal, PrimaryMonomialIdeal):
-        raise NotPrimaryError("Samuel multiplicity needs a primary ideal")
+    _require_primary(ideal, "Samuel multiplicity needs a primary ideal")
     e = _as_int(ideal.weight.residual_mass(), "Samuel multiplicity")
     if e <= 0:
         raise AssertionError("Samuel multiplicity must be positive")
@@ -80,8 +84,7 @@ def samuel_multiplicity(ideal: PrimaryMonomialIdeal) -> int:
 
 def mixed_multiplicity(j: MonomialIdeal, i: PrimaryMonomialIdeal) -> int:
     """Multiplicity of j against n-1 copies of i, via the measure of i."""
-    if not isinstance(i, PrimaryMonomialIdeal):
-        raise NotPrimaryError("mixed multiplicity needs a primary second ideal")
+    _require_primary(i, "mixed multiplicity needs a primary second ideal")
     if j.dimension != i.dimension:
         raise InvalidInputError("ideals have different dimensions")
     return _as_int(generalized_lelong(j.psh, i.weight), "mixed multiplicity")
@@ -96,19 +99,14 @@ def minimal_multiplicity(j: MonomialIdeal) -> int:
 def axis_multiplicities(i: PrimaryMonomialIdeal) -> tuple[int, ...]:
     """Mixed multiplicity of each coordinate ideal (z_k) against i: the
     axis aggregates of i's weight, sum over atoms of mass * -t_k."""
-    if not isinstance(i, PrimaryMonomialIdeal):
-        raise NotPrimaryError("mixed multiplicity needs a primary second ideal")
+    _require_primary(i, "mixed multiplicity needs a primary second ideal")
     return tuple(_as_int(c, "mixed multiplicity") for c in i.weight._axis_aggregates)
-
-
-def _check_p(p):
-    if not isinstance(p, int) or isinstance(p, bool) or p < 1:
-        raise InvalidInputError("p must be a positive integer")
 
 
 def containment_exponents(i: PrimaryMonomialIdeal, p: int) -> tuple[int, ...]:
     """Per axis, the least integer q with p/q at most the axis multiplicity."""
-    _check_p(p)
+    if not isinstance(p, int) or isinstance(p, bool) or p < 1:
+        raise InvalidInputError("p must be a positive integer")
     return tuple(-(-p // e) for e in axis_multiplicities(i))
 
 
@@ -156,11 +154,10 @@ class ContainmentReport(
 def closure_containment_check(
     j: MonomialIdeal, i: PrimaryMonomialIdeal, p: int
 ) -> ContainmentReport:
-    """Assemble the containment report for (j, i, p): the axis
-    multiplicities e_k are read once, and the exponents are ceil(p / e_k)."""
-    _check_p(p)
+    """Assemble the containment report for (j, i, p) from the axis
+    multiplicities e_k and the exponents of ``containment_exponents``."""
+    p_k = containment_exponents(i, p)
     e_axes = axis_multiplicities(i)
-    p_k = tuple(-(-p // ek) for ek in e_axes)
     e = mixed_multiplicity(j, i)
     # sum_k beta_k / p_k >= 1, times M = lcm(p_k).
     m = math.lcm(*p_k)

@@ -40,9 +40,10 @@ read off the rays and their masks:
   non-vertex lies in the relative interior of a face of dimension >= 1,
   and a vertex of that face is tight on every ray the non-vertex is;
 * the compact facets are the rays with w > 0 that are tight on some
-  generator, with primitive normal w/gcd(w), support t/(L gcd(w)) and
-  the vertices of their mask as incidence; each facet keeps that vertex
-  mask for its cone volume;
+  generator, with normal w, support t/L and the vertices of their mask
+  as incidence; w is primitive, since gcd(w) divides t = <w, p_j> for a
+  generator p_j the ray is tight on, and the ray is primitive; each
+  facet keeps that vertex mask for its cone volume;
 * the cone over a compact facet is cut by a pulling triangulation of
   the facet, whose faces are the maximal intersections of its vertex
   mask with the masks of the other rays (an intersection with fewer
@@ -270,10 +271,10 @@ class NewtonPolyhedron:
     def _compact_facets(self):
         """The rays with w > 0 that are tight on some generator, as Facets
         sorted by normal, and the mask of each one's vertices in the same
-        order. Such a ray is (w, min_j <w, p_j>) and primitive, so its
-        primitive normal determines it: the normals are distinct, and the
-        sort never reads past them. It sorts plain rows, and builds each
-        Facet only after the sort."""
+        order. Such a ray is (w, min_j <w, p_j>) and primitive, so w is
+        primitive too (gcd(w) divides the min) and determines the ray: the
+        normals are distinct, and the sort never reads past them. It sorts
+        plain rows, and builds each Facet only after the sort."""
         ids = self._vertex_ids
         position = {j: i for i, j in enumerate(ids)}
         on_vertices = sum(1 << j for j in ids)
@@ -283,15 +284,12 @@ class NewtonPolyhedron:
             w = r[:-1]
             if not tight or 0 in w:
                 continue
-            g = math.gcd(*w)
-            if g != 1:
-                w = tuple([c // g for c in w])
-            rows.append((w, r[-1], scale * g, tight & on_vertices))
+            rows.append((w, r[-1], tight & on_vertices))
         rows.sort()
         facets = tuple(
             [
-                Facet(w, Fraction(t, denominator), tuple([position[j] for j in _bits(mask)]))
-                for w, t, denominator, mask in rows
+                Facet(w, Fraction(t, scale), tuple([position[j] for j in _bits(mask)]))
+                for w, t, mask in rows
             ]
         )
         return facets, tuple([row[-1] for row in rows])

@@ -4,35 +4,30 @@ Each oracle recomputes a kernel quantity by different means: an exact
 2-D staircase sum for covolumes, seeded Monte Carlo volume estimates
 whose every sample is an int vector decided exactly by the integer
 membership LP of ``linprog`` on the checked generators (no kernel code,
-not even the vertex reduction), polarization over Minkowski sums, each
-the polyhedron of the pairwise sums of the two ideals' generators, for
-mixed multiplicities, direct liminf sampling for directional numbers
-and relative types, and a sampled quasi-triangle inequality for
-directional weights.
-Floating-point oracles report values and tolerances; they never feed
-back into exact results. Sample counts, seeds and grid depths must be
-ints, and the quasi-triangle constant a finite real; anything else is an
-InvalidInputError. So is an input a float cannot hold: every exact value
-becomes a float through ``_float``, which rejects one past the float
-range, and a result that overflows is rejected too. Only the two sampled
-oracles use numpy, and they import it themselves, so importing this
-module (and the CLI) does not load it.
+not even the vertex reduction), and polarization over Minkowski sums,
+each the polyhedron of the pairwise sums of the two ideals' generators,
+for mixed multiplicities.
+The Monte Carlo estimate reports a value and its standard error; it
+never feeds back into exact results. Its sample count and seed must be
+ints; anything else is an InvalidInputError. So is a sample box whose
+volume a float cannot hold: exact values become floats through
+``_float``, which rejects one past the float range. Only the Monte Carlo
+oracle uses numpy, and it imports it itself, so importing this module
+(and the CLI) does not load it.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 from collections import namedtuple
 from fractions import Fraction
-from itertools import combinations
 
 from .errors import InvalidInputError, NotPrimaryError
 from .ideals import PrimaryMonomialIdeal
 from .linprog import feasible
 from .newton import NewtonPolyhedron
-from .rationals import exponent_set, positive_direction
-from .weights import HomogeneousPsh, MonomialWeight
+from .rationals import exponent_set
+from .weights import MonomialWeight
 
 
 def covolume_staircase_2d(generators) -> Fraction:
@@ -82,17 +77,13 @@ def _float(name, value):
         raise InvalidInputError(f"{name} is too large for a float") from None
 
 
-def _require_int(name, value):
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise InvalidInputError(f"{name} must be an integer, got {value!r}")
-
-
-def _check_sampling(samples, seed, least):
-    """Int samples, at least ``least`` of them, and an int seed >= 0."""
-    _require_int("samples", samples)
-    _require_int("seed", seed)
-    if samples < least:
-        raise InvalidInputError(f"need at least {least} sample" + "s" * (least > 1))
+def _check_sampling(samples, seed):
+    """Int samples, at least 1000 of them, and an int seed >= 0."""
+    for name, value in (("samples", samples), ("seed", seed)):
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise InvalidInputError(f"{name} must be an integer, got {value!r}")
+    if samples < 1000:
+        raise InvalidInputError("need at least 1000 samples")
     if seed < 0:
         raise InvalidInputError("seed must be nonnegative")
 
@@ -118,7 +109,7 @@ def covolume_monte_carlo(poly: NewtonPolyhedron, samples: int, seed: int) -> McE
     """
     import numpy as np
 
-    _check_sampling(samples, seed, 1000)
+    _check_sampling(samples, seed)
     gens = poly.generators
     if gens.unreached:
         raise NotPrimaryError("covolume is infinite: some axis is never reached")
@@ -168,122 +159,3 @@ def mixed_multiplicity_polarization(
         sums = [tuple(a + t * b for a, b in zip(p, q)) for p in i.generators for q in j.generators]
         values.append(MonomialWeight(sums).residual_mass())
     return _slope_at_zero(values) / n
-
-
-def directional_lelong_numeric(u: HomogeneousPsh, direction) -> float:
-    """f_u(r a) / r in floating point at r = -1000; exact for homogeneous
-    data, where it does not depend on r.
-
-    Exponents and direction entries past the float range, and an f_u(r a)
-    that overflows, raise InvalidInputError.
-    """
-    r = -1000.0
-    a = [_float("a direction entry", c) for c in positive_direction(direction, u.dimension)]
-    gens = [[_float("an exponent", c) for c in g] for g in u.generators]
-    best = max(sum(g * r * c for g, c in zip(gen, a)) for gen in gens)
-    if not math.isfinite(best):
-        raise InvalidInputError(f"f_u(r a) overflows a float at r = {r!r}")
-    return best / r
-
-
-def relative_type_numeric(u: HomogeneousPsh, phi: MonomialWeight, grid_depth: int = 32) -> float:
-    """Sampled minimum of f_u / f_phi over the level set {f_phi = -1}.
-
-    Directions run over a nested simplex grid plus a family pushed
-    toward the recession cone, so the estimate converges to the type
-    from above as grid_depth grows.
-    """
-    _require_int("grid_depth", grid_depth)
-    if grid_depth < 10:
-        raise InvalidInputError("need grid_depth >= 10")
-    n = u.dimension
-    if phi.dimension != n:
-        raise InvalidInputError("dimension mismatch")
-    gens_u = [[_float("an exponent", c) for c in g] for g in u.generators]
-    gens_phi = [[_float("an exponent", c) for c in g] for g in phi.generators]
-
-    def f(gens, t):
-        return max(sum(g[k] * t[k] for k in range(n)) for g in gens)
-
-    directions = []
-    for combo in combinations(range(1, grid_depth), n - 1):
-        parts = []
-        prev = 0
-        for c in combo:
-            parts.append(c - prev)
-            prev = c
-        parts.append(grid_depth - prev)
-        directions.append([-p / grid_depth for p in parts])
-    push = 1e-8
-    for mask in range(1, 2**n - 1):
-        d = [-1.0 if mask & (1 << k) else -push for k in range(n)]
-        directions.append(d)
-    best = math.inf
-    for d in directions:
-        fphi = f(gens_phi, d)
-        if fphi >= 0:
-            continue
-        t = [c / -fphi for c in d]
-        best = min(best, -f(gens_u, t))
-    return best
-
-
-class QuasiTriangleReport(
-    namedtuple("QuasiTriangleReport", "max_violation passed samples seed constant")
-):
-    """Result of ``quasi_triangle_check``: the largest sampled violation
-    and whether it stayed <= 1e-12, with the run's samples, seed and K."""
-
-    __slots__ = ()
-
-
-def quasi_triangle_check(
-    direction, samples: int = 10000, seed: int = 0, constant: float | None = None
-) -> QuasiTriangleReport:
-    """Sampled check of phi(y - x) <= K + max(phi(x), phi(y)).
-
-    phi is the directional weight max_k log|z_k| / a_k on the unit
-    polydisk and the default constant is K = log(2) / min(a). Points are
-    complex, so near-antipodal coordinate pairs (the tight case) occur.
-    Each a_k must be a nonzero float, and K a finite real that is not a
-    bool; anything else is an InvalidInputError.
-    """
-    import numpy as np
-
-    _check_sampling(samples, seed, 1)
-    a = positive_direction(direction)
-    af = np.array([_float("a direction entry", c) for c in a])
-    if not af.all():
-        raise InvalidInputError("a direction entry rounds to 0.0 as a float")
-    n = len(a)
-    if constant is None:
-        k_const = math.log(2.0) / float(af.min())
-    elif isinstance(constant, bool) or not isinstance(constant, numbers.Real):
-        raise InvalidInputError(f"need a real constant, got {constant!r}")
-    else:
-        k_const = _float("the constant", constant)
-    if not math.isfinite(k_const):
-        raise InvalidInputError(f"need a finite constant K, got {k_const!r}")
-    rng = np.random.Generator(np.random.Philox(seed))
-
-    def draw():
-        radius = rng.random((samples, n))
-        angle = rng.random((samples, n)) * (2.0 * math.pi)
-        return radius * np.exp(1j * angle)
-
-    x = draw()
-    y = draw()
-
-    def phi(z):
-        with np.errstate(divide="ignore"):
-            return np.max(np.log(np.abs(z)) / af, axis=1)
-
-    violation = phi(y - x) - k_const - np.maximum(phi(x), phi(y))
-    worst = float(np.max(violation))
-    return QuasiTriangleReport(
-        max_violation=worst,
-        passed=worst <= 1e-12,
-        samples=samples,
-        seed=seed,
-        constant=k_const,
-    )

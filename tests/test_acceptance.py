@@ -25,7 +25,6 @@ from lelong.oracles import (
     covolume_monte_carlo,
     covolume_staircase_2d,
     mixed_multiplicity_polarization,
-    quasi_triangle_check,
 )
 from lelong.weights import (
     DirectionalWeight,
@@ -35,6 +34,7 @@ from lelong.weights import (
     relative_type,
 )
 
+from float_oracles import quasi_triangle_check
 from support import (
     ASTAR,
     random_direction,

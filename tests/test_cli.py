@@ -190,6 +190,15 @@ class TestErrors:
         code, _, err = run(capsys, "mass", str(path))
         assert code == 2
 
+    @pytest.mark.parametrize("text", ["[1, 2]", "3"], ids=["array", "number"])
+    def test_document_must_be_an_object(self, capsys, tmp_path, text):
+        path = tmp_path / "doc.json"
+        path.write_text(text)
+        code, out, err = run(capsys, "mass", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == f"{str(path)!r}: expected a JSON object\n"
+
     def test_not_primary_exit_three(self, capsys, tmp_path):
         doc = {"n": 2, "generators": [[2, 0], [1, 1]]}
         path = tmp_path / "np.json"

@@ -97,6 +97,10 @@ class TestSamuel:
             e = samuel_multiplicity(random_primary_ideal(rng, rng.choice((2, 3))))
             assert isinstance(e, int) and e >= 1
 
+    def test_needs_a_primary_ideal(self):
+        with pytest.raises(NotPrimaryError, match="^Samuel multiplicity needs a primary ideal$"):
+            samuel_multiplicity(MonomialIdeal([(2, 0), (1, 1)]))
+
 
 @st.composite
 def planar_primary_ideals(draw):
@@ -177,6 +181,11 @@ class TestMixed:
     def test_dimension_mismatch(self):
         with pytest.raises(InvalidInputError):
             mixed_multiplicity(MonomialIdeal([(1, 0, 0)]), I_STAR)
+
+    def test_second_ideal_must_be_primary(self):
+        message = "^mixed multiplicity needs a primary second ideal$"
+        with pytest.raises(NotPrimaryError, match=message):
+            mixed_multiplicity(I_STAR, MonomialIdeal([(2, 0), (1, 1)]))
 
 
 class TestContainmentExponents:

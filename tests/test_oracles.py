@@ -12,13 +12,11 @@ from lelong.newton import NewtonPolyhedron
 from lelong.oracles import (
     covolume_monte_carlo,
     covolume_staircase_2d,
-    directional_lelong_numeric,
     mixed_multiplicity_polarization,
-    quasi_triangle_check,
-    relative_type_numeric,
 )
 from lelong.weights import HomogeneousPsh, MonomialWeight, relative_type
 
+from float_oracles import directional_lelong_numeric, quasi_triangle_check, relative_type_numeric
 from support import ASTAR, random_direction, random_primary_ideal, random_weight
 
 PHI_STAR = MonomialWeight(ASTAR)
@@ -253,6 +251,10 @@ class TestNumericRelativeType:
         u = HomogeneousPsh([(10**400, 0), (0, 1)])
         with pytest.raises(InvalidInputError, match="too large for a float"):
             relative_type_numeric(u, MonomialWeight([(1, 0), (0, 1)]))
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(InvalidInputError, match="^dimension mismatch$"):
+            relative_type_numeric(HomogeneousPsh([(1, 1, 1)]), PHI_STAR)
 
     @pytest.mark.parametrize("grid_depth", [10.5, 12.0])
     def test_depth_must_be_int(self, grid_depth):

@@ -16,10 +16,10 @@ import pytest
 from lelong import rationals
 from lelong.errors import InvalidInputError
 from lelong.geometry import cone_point_member
-from lelong.oracles import directional_lelong_numeric, quasi_triangle_check
 from lelong.rationals import exponent_set, integer_scaling, parse_rational
 from lelong.weights import DirectionalWeight, MonomialWeight
 
+from float_oracles import directional_lelong_numeric, quasi_triangle_check
 from support import ASTAR, run_python
 
 PHI_STAR = MonomialWeight(ASTAR)

@@ -1,4 +1,5 @@
 """The value records: exact reprs, equality with equal hashes, immutability.
+And the reprs of the objects that are not records.
 
 One concrete instance of each record is built twice through the library,
 on the worked example phi* = {(3,0), (0,3), (1,1)}, the ideal (z1 z2)
@@ -9,9 +10,10 @@ import pytest
 
 from lelong.ideals import MonomialIdeal, PrimaryMonomialIdeal, closure_containment_check
 from lelong.newton import NewtonPolyhedron
-from lelong.oracles import covolume_monte_carlo, quasi_triangle_check
-from lelong.weights import MonomialWeight
+from lelong.oracles import covolume_monte_carlo
+from lelong.weights import HomogeneousPsh, MonomialWeight
 
+from float_oracles import quasi_triangle_check
 from support import ASTAR
 
 ATOM = "LelongAtom(vertex=(Fraction(-1, 3), Fraction(-2, 3)), mass=Fraction(3, 1))"
@@ -66,3 +68,23 @@ def test_record_contract(name):
     with pytest.raises(AttributeError):
         setattr(first, field, None)
     assert repr(first) == expected_repr
+
+
+# name -> (build, expected repr) for the objects that are not value records.
+REPRS = {
+    "NewtonPolyhedron": (
+        lambda: NewtonPolyhedron(ASTAR),
+        "NewtonPolyhedron(dim=2, vertices=[('0', '3'), ('1', '1'), ('3', '0')])",
+    ),
+    "HomogeneousPsh": (
+        lambda: HomogeneousPsh([("1/2", 0), (0, "3/2")]),
+        "HomogeneousPsh([('0', '3/2'), ('1/2', '0')])",
+    ),
+    "MonomialIdeal": (lambda: MonomialIdeal([(1, 1)]), "MonomialIdeal([(1, 1)])"),
+}
+
+
+@pytest.mark.parametrize("name", REPRS)
+def test_repr(name):
+    build, expected_repr = REPRS[name]
+    assert repr(build()) == expected_repr
