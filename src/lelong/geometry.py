@@ -4,9 +4,9 @@ The module provides the one determinant and membership in a Newton
 polyhedron. The determinant is ``int_det`` on integer rows, in ints from
 start to finish, which the facet-cone volumes call directly and
 ``hyperplane_normal`` calls on its points scaled once to integers. It
-expands 2 x 2 and 3 x 3 matrices by cofactors, the sizes of most facet
-cones, and runs Bareiss fraction-free elimination on the others, in
-place on one copy of the rows. ``cone_point_member`` checks its
+expands 2 x 2 to 5 x 5 matrices in closed form, the sizes of the facet
+cones at n = 2..5, and runs Bareiss fraction-free elimination on the
+others, in place on one copy of the rows. ``cone_point_member`` checks its
 generators with ``exponent_set`` and reads its point with
 ``rationals.vector`` at their dimension (one rational grammar, one
 length rule, the exponent-set rules). It scales the point to the lcm L'
@@ -29,8 +29,13 @@ from .rationals import exponent_set, integer_scaling, vector
 def int_det(rows) -> int:
     """Determinant of a square integer matrix, in ints from start to finish.
 
-    A 2 x 2 or 3 x 3 matrix is expanded by cofactors, with no division.
-    Every other size goes through Bareiss fraction-free elimination
+    A 2 x 2 or 3 x 3 matrix is expanded by cofactors, and a 4 x 4 or
+    5 x 5 one by Laplace expansion along its first two rows: each 2 x 2
+    minor of those rows times its complementary minor, signed by
+    (-1)^(1 + i + j) for columns i < j. At 5 x 5 the complementary 3 x 3
+    minors are expanded along their first row and share the ten 2 x 2
+    minors of the last two rows. None of these divides. Every other size
+    (n <= 1 and n >= 6) goes through Bareiss fraction-free elimination
     (Bareiss, Math. Comp. 22, 1968), whose every step is an exact integer
     division. It runs in place on one copy of the rows, which it leaves
     as they are. A zero pivot is swapped for the first nonzero entry
@@ -43,6 +48,41 @@ def int_det(rows) -> int:
     if n == 3:
         (a, b, c), (d, e, f), (g, h, i) = rows
         return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    if n == 4:
+        (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) = rows
+        return (
+            (a0 * b1 - a1 * b0) * (c2 * d3 - c3 * d2)
+            - (a0 * b2 - a2 * b0) * (c1 * d3 - c3 * d1)
+            + (a0 * b3 - a3 * b0) * (c1 * d2 - c2 * d1)
+            + (a1 * b2 - a2 * b1) * (c0 * d3 - c3 * d0)
+            - (a1 * b3 - a3 * b1) * (c0 * d2 - c2 * d0)
+            + (a2 * b3 - a3 * b2) * (c0 * d1 - c1 * d0)
+        )
+    if n == 5:
+        (
+            (a0, a1, a2, a3, a4),
+            (b0, b1, b2, b3, b4),
+            (c0, c1, c2, c3, c4),
+            (d0, d1, d2, d3, d4),
+            (e0, e1, e2, e3, e4),
+        ) = rows
+        # The 2 x 2 minors of the last two rows, on columns x < y.
+        p01, p02 = d0 * e1 - d1 * e0, d0 * e2 - d2 * e0
+        p03, p04 = d0 * e3 - d3 * e0, d0 * e4 - d4 * e0
+        p12, p13, p14 = d1 * e2 - d2 * e1, d1 * e3 - d3 * e1, d1 * e4 - d4 * e1
+        p23, p24, p34 = d2 * e3 - d3 * e2, d2 * e4 - d4 * e2, d3 * e4 - d4 * e3
+        return (
+            (a0 * b1 - a1 * b0) * (c2 * p34 - c3 * p24 + c4 * p23)
+            - (a0 * b2 - a2 * b0) * (c1 * p34 - c3 * p14 + c4 * p13)
+            + (a0 * b3 - a3 * b0) * (c1 * p24 - c2 * p14 + c4 * p12)
+            - (a0 * b4 - a4 * b0) * (c1 * p23 - c2 * p13 + c3 * p12)
+            + (a1 * b2 - a2 * b1) * (c0 * p34 - c3 * p04 + c4 * p03)
+            - (a1 * b3 - a3 * b1) * (c0 * p24 - c2 * p04 + c4 * p02)
+            + (a1 * b4 - a4 * b1) * (c0 * p23 - c2 * p03 + c3 * p02)
+            + (a2 * b3 - a3 * b2) * (c0 * p14 - c1 * p04 + c4 * p01)
+            - (a2 * b4 - a4 * b2) * (c0 * p13 - c1 * p03 + c3 * p01)
+            + (a3 * b4 - a4 * b3) * (c0 * p12 - c1 * p02 + c2 * p01)
+        )
     a = [list(r) for r in rows]
     sign, prev = 1, 1
     for k in range(n - 1):

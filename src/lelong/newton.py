@@ -10,8 +10,13 @@ whose extreme rays are enumerated by the double description method
 (Motzkin et al. 1953; Fukuda & Prodon, "Double description method
 revisited", 1996): constraints are added one at a time, rays are kept
 primitive by their gcd, and two rays are combined only when they are
-adjacent by the combinatorial test on their zero sets. The work is
-proportional to the rays that exist, not to the n-subsets of vertices.
+adjacent, that is when the inequalities tight on both have rank d - 2,
+d = n + 1. A ray tight on exactly d - 1 inequalities has them linearly
+independent, so a pair with such a ray is adjacent as soon as it shares
+d - 2 of them (the algebraic test); only a pair of degenerate rays, each
+tight on d or more, takes the combinatorial test, a scan of the other
+rays' zero sets. The work is proportional to the rays that exist, not
+to the n-subsets of vertices.
 The method may start from any simplicial cone cut out by some of the
 constraints, and the rays it ends with do not depend on the order of
 the rest, so it starts from the cone of the least pure powers that the
@@ -121,6 +126,15 @@ def _dual_rays(points, n, pure_powers):
     order in which its inequalities are added, only the work on the way
     does, so this start saves one insertion step per pure power and the
     order is free to be chosen for speed.
+
+    A positive and a negative ray make a new ray when they are adjacent
+    (Fukuda & Prodon 1996): the inequalities tight on both have rank
+    d - 2. Fewer than d - 2 common bits rule that out. An extreme ray
+    tight on exactly d - 1 inequalities has them independent, so when
+    either ray is, d - 2 common bits are independent and decide it with
+    no scan. Only when both rays are degenerate does the scan over every
+    ray's zero set run, which stops at the third ray tight on the common
+    inequalities.
     """
     d = n + 1
     full = (1 << d) - 1
@@ -147,32 +161,37 @@ def _dual_rays(points, n, pure_powers):
                 pos.append((r, z, s))
                 kept.append((r, z))
             elif s < 0:
-                neg.append((r, z, s))
+                neg.append((r, z, s, z.bit_count() >= d))
             else:
                 kept.append((r, z | bit))
         if neg:
             zs = [z for _, z in rays]
             for rp, zp, sp in pos:
-                for rq, zq, sq in neg:
-                    # Adjacent iff no third ray is tight on every inequality
-                    # tight on both (Fukuda & Prodon 1996). The two count
-                    # themselves, and distinct extreme rays have distinct
-                    # zero sets, so the scan stops at the third.
+                for rq, zq, sq, degenerate_q in neg:
+                    # Adjacent iff the inequalities tight on both have
+                    # rank d - 2; if either ray is tight on only d - 1,
+                    # any d - 2 of those have it.
                     common = zp & zq
                     if common.bit_count() < d - 2:
                         continue
-                    seen = 0
-                    for z in zs:
-                        if z & common == common:
-                            seen += 1
-                            if seen > 2:
-                                break
-                    else:
-                        r = [sp * b - sq * a for a, b in zip(rp, rq)]
-                        g = math.gcd(*r)
-                        if g != 1:
-                            r = [c // g for c in r]
-                        kept.append((tuple(r), common | bit))
+                    if degenerate_q and zp.bit_count() >= d:
+                        # Adjacent iff no third ray is tight on every
+                        # inequality tight on both. The two count
+                        # themselves, and distinct extreme rays have
+                        # distinct zero sets, so the scan stops at the third.
+                        seen = 0
+                        for z in zs:
+                            if z & common == common:
+                                seen += 1
+                                if seen > 2:
+                                    break
+                        if seen > 2:
+                            continue
+                    r = [sp * b - sq * a for a, b in zip(rp, rq)]
+                    g = math.gcd(*r)
+                    if g != 1:
+                        r = [c // g for c in r]
+                    kept.append((tuple(r), common | bit))
         rays = kept
     return [(r, z >> d) for r, z in rays]
 

@@ -21,12 +21,15 @@ is the pulling triangulation that ``newton._pull`` replaced, testing
 every side of a face for maximality. Both are kept so tests can check
 that the replacements give the same rays, zero sets and simplices.
 ``fraction_mass_over_support``, ``fraction_generalized_lelong``,
-``fraction_extremal_direction``, ``fraction_relative_type``,
-``fraction_flatness_witness`` and ``fraction_closure_containment_check``
-are the query code that the integer aggregates replaced, which divided
-Fractions, took the min of one Fraction per facet and read the axis
-multiplicities twice; they are kept so tests can check that the
+``fraction_extremal_direction``, ``fraction_relative_type`` and
+``fraction_flatness_witness`` are the query code that the integer
+aggregates replaced, which divided Fractions and took the min of one
+Fraction per facet; they are kept so tests can check that the
 replacements give the same values and types.
+``fraction_closure_containment_check`` builds the containment report
+from the Fraction atoms of the measure, ``fraction_generalized_lelong``,
+``math.ceil`` and ``closure_member``, and calls nothing of
+``lelong.ideals`` but its two record types.
 """
 
 from __future__ import annotations
@@ -52,13 +55,7 @@ from lelong.cli import (
 )
 from lelong.errors import InvalidInputError
 from lelong.geometry import hyperplane_normal, int_det
-from lelong.ideals import (
-    ContainmentReport,
-    GeneratorContainment,
-    axis_multiplicities,
-    containment_exponents,
-    mixed_multiplicity,
-)
+from lelong.ideals import ContainmentReport, GeneratorContainment
 from lelong.rationals import integer_scaling, parse_rational, vector
 from lelong.weights import NEG_INFINITY, HomogeneousPsh
 
@@ -398,24 +395,24 @@ def fraction_flatness_witness(phi):
 
 
 def fraction_closure_containment_check(j, i, p):
-    """The containment report, reading the axis multiplicities twice."""
-    p_k = containment_exponents(i, p)
-    e = mixed_multiplicity(j, i)
-    e_axes = axis_multiplicities(i)
-    # sum_k beta_k / p_k >= 1, times M = lcm(p_k).
-    m = math.lcm(*p_k)
-    steps = [m // q for q in p_k]
-    rows = []
-    for beta in j.generators:
-        axis_bound = sum(b * ek for b, ek in zip(beta, e_axes)) >= p
-        closure = sum(map(mul, beta, steps)) >= m
-        literal = any(b >= q for b, q in zip(beta, p_k))
-        rows.append(GeneratorContainment(beta, axis_bound, closure, literal))
-    return ContainmentReport(
-        p=p,
-        mixed_multiplicity=e,
-        hypothesis=e >= p,
-        axis_multiplicities=e_axes,
-        exponents=p_k,
-        generators=tuple(rows),
+    """The containment report from i's measure in Fractions alone: e_k as
+    the sum over the atoms of mass * -t_k, e(J, I) from
+    ``fraction_generalized_lelong``, p_k = ceil(p / e_k) and the closure
+    test of ``closure_member``."""
+    atoms = i.weight.lelong_measure().atoms
+    e_axes = tuple(
+        sum((-atom.mass * atom.vertex[k] for atom in atoms), Fraction(0))
+        for k in range(i.dimension)
     )
+    p_k = tuple(math.ceil(Fraction(p, e_k)) for e_k in e_axes)
+    e = fraction_generalized_lelong(j.psh, i.weight)
+    rows = tuple(
+        GeneratorContainment(
+            beta,
+            sum(b * e_k for b, e_k in zip(beta, e_axes)) >= p,
+            closure_member(beta, p_k),
+            any(b >= q for b, q in zip(beta, p_k)),
+        )
+        for beta in j.generators
+    )
+    return ContainmentReport(p, e, e >= p, e_axes, p_k, rows)

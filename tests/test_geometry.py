@@ -65,16 +65,42 @@ class TestIntDet:
         # Leading 2x2 minor zero: the pivot of the second step is zero.
         assert int_det([[1, 2, 0], [2, 4, 1], [0, 1, 1]]) == -1
         assert int_det([[0, 0], [1, 2]]) == 0
-        # Bareiss at 4 x 4 and 5 x 5: a zero first pivot, then a zero
-        # leading 2x2 minor.
+        # A zero first pivot, then a zero leading 2x2 minor: the closed
+        # forms at 4 x 4 and 5 x 5, and Bareiss, which swaps rows, at 6 x 6.
         for rows in (
             [[0, 1, 2, 3], [1, 0, 1, 2], [2, 1, 0, 1], [3, 2, 1, 5]],
             [[1, 2, 0, 1], [2, 4, 1, 3], [0, 1, 1, 2], [3, 1, 2, 4]],
             [[0, 2, 1, 0, 3], [0, 1, 1, 2, 1], [4, 0, 0, 1, 2], [1, 3, 2, 0, 1], [2, 1, 0, 3, 1]],
             [[1, 2, 0, 1, 3], [2, 4, 1, 3, 1], [0, 1, 3, 2, 0], [3, 1, 2, 0, 1], [1, 0, 2, 1, 4]],
+            [
+                [0, 1, 2, 3, 1, 2],
+                [1, 0, 1, 2, 3, 1],
+                [2, 1, 0, 1, 2, 3],
+                [3, 2, 1, 5, 0, 1],
+                [1, 3, 2, 0, 4, 2],
+                [2, 1, 3, 1, 0, 5],
+            ],
+            [
+                [1, 2, 0, 1, 3, 1],
+                [2, 4, 1, 3, 1, 0],
+                [0, 1, 3, 2, 0, 2],
+                [3, 1, 2, 0, 1, 4],
+                [1, 0, 2, 1, 4, 3],
+                [2, 3, 1, 4, 0, 1],
+            ],
         ):
             assert rows[0][0] == 0 or rows[0][0] * rows[1][1] == rows[0][1] * rows[1][0]
             assert int_det(rows) == leibniz(rows) != 0
+
+    @pytest.mark.parametrize("bound", [9, 10**30])
+    def test_closed_forms_match_leibniz(self, bound):
+        # Seeded 4 x 4 and 5 x 5 draws, each expansion against the signed
+        # sum over permutations.
+        rng = random.Random(bound)
+        for n in (4, 5):
+            for _ in range(300):
+                rows = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)]
+                assert int_det(rows) == leibniz(rows)
 
     def test_empty_matrix(self):
         assert int_det([]) == 1

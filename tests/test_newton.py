@@ -366,6 +366,16 @@ def _generator_masks(rays, n):
 
 
 class TestStartCone:
+    @pytest.mark.parametrize("n, m", [(6, 2), (6, 3), (5, 4), (5, 5)])
+    def test_degenerate_pairs_take_the_scan(self, n, m):
+        # At these sizes the scan rejects pairs of degenerate rays with
+        # d - 2 common tight inequalities, some of them tight on exactly d.
+        # Combining such a pair changes the rays here; on the sweep below
+        # it blows the ray count up before any comparison.
+        gens = exponent_set(vertex_rich(n, m))
+        rays = _generator_masks(orthant_dual_rays(gens.points, n), n)
+        assert sorted(_dual_rays(gens.points, n, gens.pure_powers)) == rays
+
     def test_rays_and_zero_sets_equal_the_orthant_start(self):
         # The double description started from the cone of the least pure
         # powers, and at n = 2 the staircase chain, give the rays and the

@@ -66,6 +66,8 @@ def _assert_weight_parity(phi, probes):
 
 
 def _assert_containment_parity(j, i, ps):
+    """The shipped report equals the one built from the Fraction atoms of
+    i's measure, and its multiplicities and exponents are ints."""
     for p in ps:
         report = closure_containment_check(j, i, p)
         assert report == fraction_closure_containment_check(j, i, p)
