@@ -27,6 +27,8 @@ from .rationals import exponent_set, format_rational
 
 
 def _as_int(value: Fraction, what: str) -> int:
+    """``value``, a multiplicity, as an int. It is one; the guard stays so
+    that a kernel fault raises instead of surfacing as a wrong integer."""
     if value.denominator != 1:
         raise AssertionError(f"{what} must be an integer, got {value}")
     return int(value)
@@ -74,7 +76,8 @@ def _require_primary(ideal, message):
 
 
 def samuel_multiplicity(ideal: PrimaryMonomialIdeal) -> int:
-    """Residual mass of the associated weight; a positive integer."""
+    """Residual mass of the associated weight; a positive integer. Both
+    guards stay, so that a kernel fault raises, not a wrong integer."""
     _require_primary(ideal, "Samuel multiplicity needs a primary ideal")
     e = _as_int(ideal.weight.residual_mass(), "Samuel multiplicity")
     if e <= 0:

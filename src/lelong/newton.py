@@ -32,12 +32,12 @@ in time linear in the points, where the double description tests every
 pair of positive and negative rays at each step. The double description
 serves n >= 3, and at n = 2 it is the reference that the chain is
 tested against.
-Both return each ray with its generator mask, whose bit j is set iff
-the ray is tight on p_j. The double description also needs the bits of
-the constraints w_k >= 0 and t >= 0 for its adjacency test, but keeps
-them to itself: they follow from the ray. The masks are the one form of
-a tight set from the hull to the cone volumes, and everything else is
-read off the rays and their masks:
+Both take the checked set and return each ray with its generator mask,
+whose bit j is set iff the ray is tight on p_j. The double description
+also needs the bits of the constraints w_k >= 0 and t >= 0 for its
+adjacency test, but keeps them to itself: they follow from the ray. The
+masks are the one form of a tight set from the hull to the cone volumes,
+and everything else is read off the rays and their masks:
 
 * generator j is a vertex iff it is the only generator tight on every
   ray tight on j (the AND of those rays' masks is j alone): the valid
@@ -54,9 +54,7 @@ read off the rays and their masks:
   mask with the masks of the other rays (an intersection with fewer
   vertices than a facet of the face needs is never one), and L^n n!
   times its volume is the int sum of |int_det| over the simplices on
-  the integer points;
-* the intercept on axis k, the least g_k over the generators that
-  vanish off axis k, is read off the checked set, which computes it once.
+  the integer points.
 
 Covolume (the volume of the positive orthant minus the polyhedron) is
 the sum of the cone volumes over the compact facets: one Fraction, the
@@ -100,9 +98,9 @@ def _bits(mask):
     return out
 
 
-def _dual_rays(points, n, pure_powers):
-    """Extreme rays of C for integer ``points``, as (ray, generator mask)
-    pairs.
+def _dual_rays(gens):
+    """Extreme rays of C for the integer ``points`` of the checked set
+    ``gens``, as (ray, generator mask) pairs.
 
     A ray is the primitive integer vector (w, t), and bit j of its mask is
     set iff the ray is tight on points[j]: <w, points[j]> = t. Inside, a
@@ -113,10 +111,10 @@ def _dual_rays(points, n, pure_powers):
     The kernel calls this for n >= 3; at n = 2 it is the reference for
     ``_plane_rays``.
 
-    ``pure_powers`` gives per axis k the index of the least pure power
-    M_k e_k among the points, or None. The method starts from the cone of
-    those inequalities and of w >= 0, t >= 0, and inserts the other points
-    in order of coordinate sum, ties in set order; each keeps its own bit.
+    The set's ``pure_powers`` give per axis k the index of the least pure
+    power M_k e_k, or None. The method starts from the cone of those
+    inequalities and of w >= 0, t >= 0, and inserts the other points in
+    order of coordinate sum, ties in set order; each keeps its own bit.
     Point p enters as (p, -1), so its slack on a ray (w, t) is one dot
     product <w, p> - t. With K the axes that have a pure power and L the lcm
     of their M_k, that cone is simplicial: its rays are (e_k, 0) for every
@@ -136,6 +134,8 @@ def _dual_rays(points, n, pure_powers):
     ray's zero set run, which stops at the third ray tight on the common
     inequalities.
     """
+    points, pure_powers = gens.points, gens.pure_powers
+    n = len(points[0])
     d = n + 1
     full = (1 << d) - 1
     # Per axis k, M_k and the zero-set bit of M_k e_k, or 0 and 0.
@@ -196,9 +196,9 @@ def _dual_rays(points, n, pure_powers):
     return [(r, z >> d) for r, z in rays]
 
 
-def _plane_rays(points):
+def _plane_rays(gens):
     """The (ray, generator mask) pairs of ``_dual_rays`` at n = 2, in time
-    linear in the sorted integer ``points``.
+    linear in the sorted integer ``points`` of the checked set ``gens``.
 
     The rays with t = 0 are (e_k, 0), tight on the points with p_k = 0.
     When every point has p_k > 0, (e_k, m) with m = min p_k is a ray,
@@ -211,6 +211,7 @@ def _plane_rays(points):
     points from a to b on the edge; a dominated point is never tight on
     it, as w > 0.
     """
+    points = gens.points
     rays = []
     for k in (0, 1):
         for t in {0, min(p[k] for p in points)}:
@@ -273,10 +274,7 @@ class NewtonPolyhedron:
 
     def _enumerate_facets(self):
         """Every extreme ray of C as (ray, mask of the generators it is tight on)."""
-        gens = self.generators
-        if self.dimension == 2:
-            return _plane_rays(gens.points)
-        return _dual_rays(gens.points, self.dimension, gens.pure_powers)
+        return (_plane_rays if self.dimension == 2 else _dual_rays)(self.generators)
 
     def _minimal_vertices(self):
         """Indices of the generators that are vertices: those j for which
@@ -324,7 +322,9 @@ class NewtonPolyhedron:
 
     @cached_property
     def axis_intercepts(self):
-        """Per axis k, the least c with c*e_k in the polyhedron."""
+        """Per axis k, the least c with c*e_k in the polyhedron: an alias of
+        ``generators.intercepts``, kept only while ``perfbench/`` reads it
+        (its ``newton.axis_intercepts`` span and ``OracleCheck.check``)."""
         return self.generators.intercepts
 
     @cached_property

@@ -2,11 +2,11 @@
 
 Each oracle recomputes a kernel quantity by different means: an exact
 2-D staircase sum for covolumes, seeded Monte Carlo volume estimates
-whose every sample is an int vector decided exactly by the integer
-membership LP of ``linprog`` on the checked generators (no kernel code,
-not even the vertex reduction), and polarization over Minkowski sums,
-each the polyhedron of the pairwise sums of the two ideals' generators,
-for mixed multiplicities.
+whose every sample is an int vector in the checked set's intercept box,
+decided exactly by the integer membership LP of ``linprog`` on the
+checked generators (no kernel code, not even the vertex reduction), and
+polarization over Minkowski sums, each the polyhedron of the pairwise
+sums of the two ideals' generators, for mixed multiplicities.
 The Monte Carlo estimate reports a value and its standard error; it
 never feeds back into exact results. Its sample count and seed must be
 ints; anything else is an InvalidInputError. So is a sample box whose
@@ -95,7 +95,8 @@ class McEstimate(namedtuple("McEstimate", "value standard_error samples seed")):
 
 
 def covolume_monte_carlo(poly: NewtonPolyhedron, samples: int, seed: int) -> McEstimate:
-    """Estimate the covolume by uniform sampling in the intercept box.
+    """Estimate the covolume by uniform sampling in the box of the checked
+    set's intercepts (all 0 when the zero vector is a generator).
 
     Membership is decided by the LP ``linprog.feasible`` on the checked
     generators, not the kernel's vertices, so the indicator is exact and
@@ -113,10 +114,10 @@ def covolume_monte_carlo(poly: NewtonPolyhedron, samples: int, seed: int) -> McE
     gens = poly.generators
     if gens.unreached:
         raise NotPrimaryError("covolume is infinite: some axis is never reached")
-    box_volume = _float("the sample box volume", math.prod(poly.axis_intercepts))
+    box_volume = _float("the sample box volume", math.prod(gens.intercepts))
     rng = np.random.Generator(np.random.Philox(seed))
     ks = np.ldexp(rng.random((samples, poly.dimension)), 53).astype(np.int64).tolist()
-    top = [int(m * gens.scale) for m in poly.axis_intercepts]
+    top = [int(m * gens.scale) for m in gens.intercepts]
     columns = [[c << 53 for c in point] for point in gens.points]
     outside = sum(not feasible(columns, [k * m for k, m in zip(row, top)]) for row in ks)
     p = outside / samples

@@ -17,10 +17,10 @@ ints: the lcm L of the denominators and the integer points L*v, from
 which it derives, once per set, the record of the least pure power on
 each axis, the unreached axes and the intercepts. Its Fraction vectors
 are built on the first read that needs them, which the kernel and the
-queries never make, so a set of int tuples builds no Fraction. A caller
-that has the integer points and their lcm already, as
-``DirectionalWeight`` does, builds the set through the private
-constructor that ends ``exponent_set``.
+queries never make, so a set of int tuples builds no Fraction. The set
+dedupes and sorts its integer points itself, so ``exponent_set`` only
+checks and scales, and a caller that has the integer points and their
+lcm already, as ``DirectionalWeight`` does, builds the set directly.
 """
 
 from __future__ import annotations
@@ -121,12 +121,13 @@ def positive_direction(coords, dimension: int | None = None) -> tuple[Fraction, 
 
 
 class _ExponentSet(Sequence):
-    """An exponent set that ``exponent_set`` has checked: nonnegative,
-    deduplicated, sorted, nonempty, of one dimension in
-    MIN_DIMENSION..MAX_DIMENSION. It holds ints: ``scale``, the lcm L of
-    the denominators, and ``points``, the integer points L*v in sorted
-    order (the zero vector first, when it is one); ``pure_powers``,
-    ``unreached`` and ``intercepts`` are derived once, on first use.
+    """A checked exponent set: nonnegative, deduplicated, sorted,
+    nonempty, of one dimension in MIN_DIMENSION..MAX_DIMENSION. It is
+    built from ints that the caller vouches for: ``scale``, the lcm L of
+    the denominators, and ``points``, the integer points L*v, which it
+    dedupes and sorts itself (the zero vector first, when it is one);
+    ``pure_powers``, ``unreached`` and ``intercepts`` are derived once,
+    on first use.
 
     Read as a sequence it is the tuple of its Fraction vectors v = P/L,
     which are built once, on the first read that needs them: indexing,
@@ -136,7 +137,10 @@ class _ExponentSet(Sequence):
 
     def __init__(self, scale, points):
         self.scale = scale
-        self.points = points
+        # Scaling by L > 0 is injective and keeps the order, so the integer
+        # points L*v dedupe and sort the set as the vectors themselves would,
+        # and dropping duplicates keeps the set of denominators, hence L.
+        self.points = tuple(sorted(set(points)))
 
     @cached_property
     def _vectors(self):
@@ -231,18 +235,7 @@ def exponent_set(vectors) -> _ExponentSet:
     if len({len(v) for v in vecs}) != 1:
         raise InvalidInputError("generators mix dimensions")
     scale, points = integer_scaling(vecs) if rational else (1, vecs)
-    return _checked_set(scale, points)
-
-
-def _checked_set(scale, points) -> _ExponentSet:
-    """The set of the vectors ``points`` / ``scale``, for nonnegative int
-    ``points`` of one dimension in MIN_DIMENSION..MAX_DIMENSION and the
-    lcm ``scale`` of the denominators of those vectors, which the caller
-    vouches for."""
-    # Scaling by L > 0 is injective and keeps the order, so the integer
-    # points L*v dedupe and sort the set as the vectors themselves would,
-    # and dropping duplicates keeps the set of denominators, hence L.
-    return _ExponentSet(scale, tuple(sorted(set(points))))
+    return _ExponentSet(scale, points)
 
 
 def integer_scaling(vectors) -> tuple[int, tuple[tuple[int, ...], ...]]:

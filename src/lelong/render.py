@@ -23,15 +23,15 @@ def render_weight_svg(phi: MonomialWeight) -> str:
     if max(map(max, phi.generators)) > _MAX_COORDINATE:
         raise InvalidInputError("SVG rendering needs coordinates of at most 2**1020")
     poly = phi.polyhedron
-    side = float(max(poly.axis_intercepts)) + 1.0
+    m1, m2 = phi.generators.intercepts
+    side = float(max(m1, m2)) + 1.0
 
     def pt(x, y):
         return f"{_fmt(float(x))},{_fmt(side - float(y))}"
 
-    staircase = sorted(poly.vertices)
-    m1, m2 = poly.axis_intercepts
     region = [pt(0, side), pt(0, m2)]
-    region += [pt(x, y) for x, y in staircase]
+    # The set is sorted and vertex indices ascend, so these points ascend.
+    region += [pt(x, y) for x, y in poly.vertices]
     region += [pt(m1, 0), pt(side, 0), pt(side, side)]
 
     stroke = side * 0.008
@@ -53,7 +53,7 @@ def render_weight_svg(phi: MonomialWeight) -> str:
         )
     atoms = phi.lelong_measure().atoms
     for facet, atom in zip(poly.compact_facets, atoms):
-        pts = sorted(poly.facet_points(facet))
+        pts = poly.facet_points(facet)
         first, last = pts[0], pts[-1]
         lines.append(
             f'<line x1="{_fmt(float(first[0]))}" y1="{_fmt(side - float(first[1]))}" '

@@ -44,7 +44,7 @@ from operator import mul
 
 from .errors import InvalidInputError, NotPrimaryError
 from .newton import NewtonPolyhedron
-from .rationals import _checked_set, exponent_set, positive_direction, vector
+from .rationals import _ExponentSet, exponent_set, positive_direction, vector
 
 NEG_INFINITY = float("-inf")
 
@@ -260,7 +260,7 @@ class DirectionalWeight(MonomialWeight):
             tuple(scale // a.numerator * a.denominator if i == k else 0 for i in range(n))
             for k, a in enumerate(d)
         ]
-        super().__init__(_checked_set(scale, points))
+        super().__init__(_ExponentSet(scale, points))
 
 
 def _check_pair(u: HomogeneousPsh, phi: MonomialWeight):

@@ -21,15 +21,20 @@ is the pulling triangulation that ``newton._pull`` replaced, testing
 every side of a face for maximality. Both are kept so tests can check
 that the replacements give the same rays, zero sets and simplices.
 ``fraction_mass_over_support``, ``fraction_generalized_lelong``,
-``fraction_extremal_direction``, ``fraction_relative_type`` and
-``fraction_flatness_witness`` are the query code that the integer
-aggregates replaced, which divided Fractions and took the min of one
-Fraction per facet; they are kept so tests can check that the
-replacements give the same values and types.
+``fraction_extremal_direction`` and ``fraction_relative_type`` are the
+query code that the integer aggregates replaced, which divided Fractions
+and took the min of one Fraction per facet; they are kept so tests can
+check that the replacements give the same values and types.
+``fraction_flatness_witness`` is the witness by its definition, the
+first axis probe whose normalized aggregate exceeds its relative type,
+built from those two; the shipped witness reads the atoms' coordinates
+instead.
 ``fraction_closure_containment_check`` builds the containment report
 from the Fraction atoms of the measure, ``fraction_generalized_lelong``,
 ``math.ceil`` and ``closure_member``, and calls nothing of
 ``lelong.ideals`` but its two record types.
+``join`` places exponent sets side by side in disjoint coordinates, for
+the product identities of the invariants.
 """
 
 from __future__ import annotations
@@ -386,12 +391,28 @@ def fraction_relative_type(u, phi):
 
 
 def fraction_flatness_witness(phi):
-    """The first axis probe e_k on which the atoms' coordinates differ."""
-    atoms = phi.lelong_measure().atoms
-    for k in range(phi.dimension):
-        if len({atom.vertex[k] for atom in atoms}) > 1:
-            return HomogeneousPsh([tuple(int(i == k) for i in range(phi.dimension))])
+    """The first axis probe e_k whose normalized aggregate against phi
+    exceeds its relative type to phi, or None when there is none."""
+    n = phi.dimension
+    for k in range(n):
+        probe = HomogeneousPsh([tuple(int(i == k) for i in range(n))])
+        mean = fraction_generalized_lelong(probe, phi, normalized=True)
+        if mean > fraction_relative_type(probe, phi):
+            return probe
     return None
+
+
+def join(*sets):
+    """The generators of the exponent ``sets`` side by side in disjoint
+    coordinates: each generator of a factor, with zeros on the other
+    factors' coordinates. For ideals this is their sum in disjoint
+    variables."""
+    dims = [len(s[0]) for s in sets]
+    out = []
+    for k, s in enumerate(sets):
+        before, after = (0,) * sum(dims[:k]), (0,) * sum(dims[k + 1 :])
+        out += [before + tuple(g) + after for g in s]
+    return out
 
 
 def fraction_closure_containment_check(j, i, p):

@@ -101,6 +101,21 @@ class TestSamuel:
         with pytest.raises(NotPrimaryError, match="^Samuel multiplicity needs a primary ideal$"):
             samuel_multiplicity(MonomialIdeal([(2, 0), (1, 1)]))
 
+    @pytest.mark.parametrize(
+        "mass, message",
+        [
+            (Fraction(1, 2), "Samuel multiplicity must be an integer, got 1/2"),
+            (Fraction(0), "Samuel multiplicity must be positive"),
+        ],
+    )
+    def test_guards_turn_a_kernel_fault_into_an_error(self, monkeypatch, mass, message):
+        # A multiplicity is a positive integer; a kernel that returned
+        # anything else must raise, not yield a wrong integer.
+        ideal = PrimaryMonomialIdeal(ASTAR)
+        monkeypatch.setattr(ideal.weight, "residual_mass", lambda: mass)
+        with pytest.raises(AssertionError, match=f"^{message}$"):
+            samuel_multiplicity(ideal)
+
 
 @st.composite
 def planar_primary_ideals(draw):

@@ -374,7 +374,7 @@ class TestStartCone:
         # it blows the ray count up before any comparison.
         gens = exponent_set(vertex_rich(n, m))
         rays = _generator_masks(orthant_dual_rays(gens.points, n), n)
-        assert sorted(_dual_rays(gens.points, n, gens.pure_powers)) == rays
+        assert sorted(_dual_rays(gens)) == rays
 
     def test_rays_and_zero_sets_equal_the_orthant_start(self):
         # The double description started from the cone of the least pure
@@ -386,11 +386,11 @@ class TestStartCone:
             points, n = gens.points, len(gens[0])
             assert gens.pure_powers == _least_pure_powers(points)
             rays = _generator_masks(orthant_dual_rays(points, n), n)
-            hull = _dual_rays(points, n, gens.pure_powers)
+            hull = _dual_rays(gens)
             assert sorted(hull) == rays
             assert all(z >> len(points) == 0 for _, z in hull)
             if n == 2:
-                plane = _plane_rays(points)
+                plane = _plane_rays(gens)
                 assert sorted(plane) == rays
                 assert all(z >> len(points) == 0 for _, z in plane)
             on_axes = [sum(p[k] and not any(p[:k] + p[k + 1 :]) for p in points) for k in range(n)]
@@ -435,8 +435,8 @@ class TestPlaneRays:
     def test_equal_the_double_description(self, gens):
         gens = exponent_set(gens)
         rays = _generator_masks(orthant_dual_rays(gens.points, 2), 2)
-        assert sorted(_dual_rays(gens.points, 2, gens.pure_powers)) == rays
-        plane = _plane_rays(gens.points)
+        assert sorted(_dual_rays(gens)) == rays
+        plane = _plane_rays(gens)
         assert sorted(plane) == rays
         assert all(z >> len(gens) == 0 for _, z in plane)
 

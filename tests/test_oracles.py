@@ -10,6 +10,7 @@ from lelong.errors import InvalidInputError, NotPrimaryError
 from lelong.ideals import PrimaryMonomialIdeal, mixed_multiplicity
 from lelong.newton import NewtonPolyhedron
 from lelong.oracles import (
+    McEstimate,
     covolume_monte_carlo,
     covolume_staircase_2d,
     mixed_multiplicity_polarization,
@@ -110,6 +111,17 @@ class TestMonteCarlo:
         )
         assert third.generators.scale == 6
         assert repr(covolume_monte_carlo(third, 1000, seed=3).value) == "0.665"
+
+    @pytest.mark.parametrize(
+        "generators", [[(0, 0), (1, 0)], [(0, 0, 0), (0, 1, 1), (2, 0, 0)]], ids=str
+    )
+    def test_zero_vector_gives_an_empty_box(self, generators):
+        # The zero vector makes every intercept 0 and may leave an axis
+        # without a pure power: the box is the origin and the covolume 0.
+        poly = NewtonPolyhedron(generators)
+        assert None in poly.generators.pure_powers
+        assert covolume_monte_carlo(poly, 1000, 0) == McEstimate(0.0, 0.0, 1000, 0)
+        assert poly.covolume() == 0
 
 
 class TestPolarization:

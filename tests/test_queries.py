@@ -1,8 +1,11 @@
 """The integer query code against the Fraction code it replaced, kept in
-``tests/reference.py``: equal values and equal result types on seeded
-draws and on a ``hypothesis`` property. And the queries read the checked
-set's integer points only, so they never build its Fraction vectors."""
+``tests/reference.py``, and the flatness witness against its definition:
+equal values and equal result types on seeded draws and on a
+``hypothesis`` property. The seeded containment draws put generators on
+the closure boundary. And the queries read the checked set's integer
+points only, so they never build its Fraction vectors."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -15,6 +18,7 @@ from lelong.ideals import (
     PrimaryMonomialIdeal,
     axis_multiplicities,
     closure_containment_check,
+    containment_exponents,
     mixed_multiplicity,
     samuel_multiplicity,
 )
@@ -121,12 +125,34 @@ def test_weight_queries_equal_the_fraction_code(n):
     assert tally.nonflat and tally.unreached and tally.rational and tally.tau_den
 
 
+def _closure_boundary(p_k):
+    """Points on sum_k beta_k / p_k = 1: each p_k e_k, and for each pair
+    of axes whose exponents share a factor g > 1 the point with
+    beta_k = p_k / g and beta_l = (g - 1) p_l / g."""
+    n = len(p_k)
+    points = [tuple(q if i == k else 0 for i in range(n)) for k, q in enumerate(p_k)]
+    for k in range(n):
+        for l in range(k + 1, n):
+            g = math.gcd(p_k[k], p_k[l])
+            if g > 1:
+                beta = {k: p_k[k] // g, l: (g - 1) * p_k[l] // g}
+                points.append(tuple(beta.get(i, 0) for i in range(n)))
+    return points
+
+
 @pytest.mark.parametrize("n", range(2, 7))
 def test_containment_equals_the_fraction_code(n):
+    # With the closure boundary among j's generators, a strict closure
+    # test differs from the Fraction one on every draw.
     rng = random.Random(520 + n)
+    mixed = 0
     for _ in range(8):
         i, j = random_primary_ideal(rng, n), random_ideal(rng, n)
-        _assert_containment_parity(j, i, [1, rng.randint(1, 40), rng.randint(41, 400)])
+        for p in [1, rng.randint(1, 40), rng.randint(41, 400)]:
+            boundary = _closure_boundary(containment_exponents(i, p))
+            mixed += len(boundary) - n
+            _assert_containment_parity(MonomialIdeal(j.generators + tuple(boundary)), i, [p])
+    assert mixed
 
 
 @pytest.mark.parametrize("n, m", VERTEX_RICH_SIZES, ids=str)
