@@ -45,10 +45,12 @@ and everything else is read off the rays and their masks:
   non-vertex lies in the relative interior of a face of dimension >= 1,
   and a vertex of that face is tight on every ray the non-vertex is;
 * the compact facets are the rays with w > 0 that are tight on some
-  generator, with normal w, support t/L and the vertices of their mask
-  as incidence; w is primitive, since gcd(w) divides t = <w, p_j> for a
-  generator p_j the ray is tight on, and the ray is primitive; each
-  facet keeps that vertex mask for its cone volume;
+  generator, kept as the int rows (w, t) sorted by normal, each with the
+  vertex part of its mask for its cone volume; w is primitive, since
+  gcd(w) divides t = <w, p_j> for a generator p_j the ray is tight on,
+  and the ray is primitive; the queries read the rows, and the Facet
+  records (normal w, support t/L, the vertices of the mask as incidence)
+  are built from them on the first read of ``compact_facets``;
 * the cone over a compact facet is cut by a pulling triangulation of
   the facet, whose faces are the maximal intersections of its vertex
   mask with the masks of the other rays (an intersection with fewer
@@ -270,7 +272,7 @@ class NewtonPolyhedron:
         self.dimension = len(gens.points[0])
         self._rays = self._enumerate_facets()
         self._vertex_ids = self._minimal_vertices()
-        self.compact_facets, self._facet_masks = self._compact_facets()
+        self._facet_rows, self._facet_masks = self._compact_facets()
 
     def _enumerate_facets(self):
         """Every extreme ray of C as (ray, mask of the generators it is tight on)."""
@@ -286,16 +288,13 @@ class NewtonPolyhedron:
         return tuple(j for j, m in enumerate(meets) if m == 1 << j)
 
     def _compact_facets(self):
-        """The rays with w > 0 that are tight on some generator, as Facets
-        sorted by normal, and the mask of each one's vertices in the same
-        order. Such a ray is (w, min_j <w, p_j>) and primitive, so w is
-        primitive too (gcd(w) divides the min) and determines the ray: the
-        normals are distinct, and the sort never reads past them. It sorts
-        plain rows, and builds each Facet only after the sort."""
-        ids = self._vertex_ids
-        position = {j: i for i, j in enumerate(ids)}
-        on_vertices = sum(1 << j for j in ids)
-        scale = self.generators.scale
+        """The rays with w > 0 that are tight on some generator, as int
+        rows (w, t) sorted by normal, and the mask of each one's vertices
+        in the same order. Such a ray is (w, min_j <w, p_j>) and
+        primitive, so w is primitive too (gcd(w) divides the min) and
+        determines the ray: the normals are distinct, and the sort never
+        reads past them."""
+        on_vertices = sum(1 << j for j in self._vertex_ids)
         rows = []
         for r, tight in self._rays:
             w = r[:-1]
@@ -303,13 +302,21 @@ class NewtonPolyhedron:
                 continue
             rows.append((w, r[-1], tight & on_vertices))
         rows.sort()
-        facets = tuple(
+        return tuple([row[:2] for row in rows]), tuple([row[-1] for row in rows])
+
+    @cached_property
+    def compact_facets(self):
+        """The compact facets as Facets, in the order of the rows: normal w,
+        support t/L and the positions of the vertices of the mask among
+        the vertices. No query reads them, so they are built on first use."""
+        position = {j: i for i, j in enumerate(self._vertex_ids)}
+        scale = self.generators.scale
+        return tuple(
             [
                 Facet(w, Fraction(t, scale), tuple([position[j] for j in _bits(mask)]))
-                for w, t, mask in rows
+                for (w, t), mask in zip(self._facet_rows, self._facet_masks)
             ]
         )
-        return facets, tuple([row[-1] for row in rows])
 
     @cached_property
     def vertices(self):

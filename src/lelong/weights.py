@@ -19,19 +19,23 @@ and the polyhedron, the extremal direction's weight and the aggregates
 run on the checked set: the pure-power check reads the set's unreached
 axes, the Lojasiewicz exponent its pure-power record and the aggregates
 its integer points, so none is derived again and the set's Fraction
-vectors are never built. The work is integer throughout, and each
-returned value is one Fraction, with none built before it. Each atom's
-vertex coordinate -w_k/h is built from the integer facet normal w and
-the support h without a division. Each pairing with the measure is
-written once. A psh's least value min_j <P_j, a> over its integer
-points P_j = L b_j, over L, is its directional number at a; with a = w
-and over L h, it is the psh's number at the atom of the facet (w, h),
-and the type is the least of those numbers, compared cross-multiplied.
-The aggregate brings the atoms' ratios mass/h to integers c over their
-least common denominator Q, computed in ints from the cone totals and
-the supports, so each aggregate is one integer sum S over Q L, and
-divided by the residual mass tau it is S tau.den over Q L tau.num; the
-axis aggregates are those of the probes e_k.
+vectors are never built. The measure layer reads the polyhedron's int
+rows (w, t), normal w and support h = t/L, and never its Facet records.
+The work is integer throughout, and each returned value is one
+Fraction, with none built before it and one per distinct value: each
+atom's vertex coordinate -w_k/h = -w_k L/t is built from the ints
+without a division, once per distinct (w_k, t), and each mass once per
+distinct cone total; the atoms that share a value share the Fraction.
+Each pairing with the measure is written once. A psh's least value
+min_j <P_j, a> over its integer points P_j = L b_j, over L, is its
+directional number at a; with a = w and over L h, it is the psh's number
+at the atom of the facet (w, h), and the type is the least of those
+numbers, compared cross-multiplied. The aggregate brings the atoms'
+ratios mass/h to integers c over their least common denominator Q,
+computed in ints from the cone totals and the unreduced supports t/L,
+so each aggregate is one integer sum S over Q L, and divided by the
+residual mass tau it is S tau.den over Q L tau.num; the axis aggregates
+are those of the probes e_k.
 """
 
 from __future__ import annotations
@@ -146,13 +150,23 @@ class MonomialWeight(HomogeneousPsh):
     @cached_property
     def _measure(self) -> LelongMeasure:
         poly = self.polyhedron
+        scale = poly.generators.scale
         # n! times the cone volume: the int total over L^n.
-        denominator = poly.generators.scale**self.dimension
-        atoms = []
-        for facet, total in zip(poly.compact_facets, poly._facet_cone_volumes):
-            num, den = facet.support.as_integer_ratio()
-            t = tuple([Fraction(-c * den, num) for c in facet.normal])
-            atoms.append(LelongAtom(t, Fraction(total, denominator)))
+        denominator = scale**self.dimension
+        # One Fraction per distinct value: the coordinate -w_k/h = -w_k L/t
+        # keyed by (w_k, t), and the mass keyed by its cone total.
+        coordinates, masses, atoms = {}, {}, []
+        for (w, t), total in zip(poly._facet_rows, poly._facet_cone_volumes):
+            vertex = []
+            for c in w:
+                x = coordinates.get((c, t))
+                if x is None:
+                    x = coordinates[c, t] = Fraction(-c * scale, t)
+                vertex.append(x)
+            mass = masses.get(total)
+            if mass is None:
+                mass = masses[total] = Fraction(total, denominator)
+            atoms.append(LelongAtom(tuple(vertex), mass))
         return LelongMeasure(tuple(atoms))
 
     def lelong_measure(self) -> LelongMeasure:
@@ -167,18 +181,16 @@ class MonomialWeight(HomogeneousPsh):
         integers c over their least common denominator Q, as (Q, c).
 
         With the cone total T, the mass is T / L^n, and for the support
-        h = a/b the ratio is T b / (L^n a); over D = L^n lcm(a) it is
-        c = T b lcm(a)/a. Dividing D and every c by their gcd leaves the
-        least common denominator, as for the ratios' own denominators.
+        h = t/L, not reduced, the ratio is T / (L^(n-1) t); over
+        D = L^(n-1) lcm(t) it is c = T lcm(t)/t. Dividing D and every c by
+        their gcd leaves the least common denominator, as for the ratios'
+        own denominators.
         """
         poly = self.polyhedron
-        supports = [f.support for f in poly.compact_facets]
-        top = math.lcm(*(h.numerator for h in supports))
-        coefficients = [
-            total * h.denominator * (top // h.numerator)
-            for total, h in zip(poly._facet_cone_volumes, supports)
-        ]
-        common = poly.generators.scale**self.dimension * top
+        supports = [t for _, t in poly._facet_rows]
+        top = math.lcm(*supports)
+        coefficients = [total * (top // t) for total, t in zip(poly._facet_cone_volumes, supports)]
+        common = poly.generators.scale ** (self.dimension - 1) * top
         g = math.gcd(common, *coefficients)
         return common // g, tuple(c // g for c in coefficients)
 
@@ -202,7 +214,7 @@ class MonomialWeight(HomogeneousPsh):
         """Per axis k, the sum over atoms of mass * -t_k: the aggregate of
         the axis probe e_k against the measure, whose number at the atom
         of the facet (w, h) is w_k / h."""
-        columns = zip(*(f.normal for f in self.polyhedron.compact_facets))
+        columns = zip(*(w for w, _ in self.polyhedron._facet_rows))
         return tuple(self._aggregate(column, 1) for column in columns)
 
     def extremal_direction(self) -> "DirectionalWeight":
@@ -210,13 +222,13 @@ class MonomialWeight(HomogeneousPsh):
         aggregate over the residual mass. The simplicial weight it
         defines is the extremal upper-envelope singularity."""
         tau = self.residual_mass()
-        columns = zip(*(f.normal for f in self.polyhedron.compact_facets))
+        columns = zip(*(w for w, _ in self.polyhedron._facet_rows))
         return DirectionalWeight(tuple(self._aggregate(column, 1, tau) for column in columns))
 
     def is_flat(self) -> bool:
         """True iff the polyhedron has a single compact facet, i.e. the
         model is simplicial and its normalized aggregates equal types."""
-        return len(self.polyhedron.compact_facets) == 1
+        return len(self.polyhedron._facet_rows) == 1
 
     def flatness_witness(self) -> HomogeneousPsh | None:
         """The first axis probe e_k whose normalized aggregate exceeds its
@@ -279,7 +291,7 @@ def generalized_lelong(u: HomogeneousPsh, phi: MonomialWeight, normalized: bool 
     ``normalized`` the result is divided by phi's residual mass.
     """
     _check_pair(u, phi)
-    least = [u._least(f.normal) for f in phi.polyhedron.compact_facets]
+    least = [u._least(w) for w, _ in phi.polyhedron._facet_rows]
     return phi._aggregate(least, u.generators.scale, phi.residual_mass() if normalized else None)
 
 
@@ -289,13 +301,15 @@ def relative_type(u: HomogeneousPsh, phi: MonomialWeight) -> Fraction:
 
     The minimum over the whole level set {f_phi = -1} is attained at its
     extreme points because the objective is nondecreasing along the
-    recession cone; the numeric oracle cross-checks this reduction.
+    recession cone; the float oracle ``relative_type_numeric`` of
+    ``tests/float_oracles.py`` cross-checks this reduction.
     """
     _check_pair(u, phi)
+    scale = phi.generators.scale
     best = None
-    for f in phi.polyhedron.compact_facets:
-        # u._least(w) b / a for the support h = a/b, compared cross-multiplied.
-        num, den = u._least(f.normal) * f.support.denominator, f.support.numerator
-        if best is None or num * best[1] < best[0] * den:
-            best = num, den
+    for w, t in phi.polyhedron._facet_rows:
+        # u._least(w) L_phi / t for the support h = t/L_phi, compared cross-multiplied.
+        num = u._least(w) * scale
+        if best is None or num * best[1] < best[0] * t:
+            best = num, t
     return Fraction(best[0], best[1] * u.generators.scale)

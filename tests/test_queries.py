@@ -3,7 +3,8 @@
 equal values and equal result types on seeded draws and on a
 ``hypothesis`` property. The seeded containment draws put generators on
 the closure boundary. And the queries read the checked set's integer
-points only, so they never build its Fraction vectors."""
+points and the hull's int facet rows only, so they never build the set's
+Fraction vectors or the polyhedron's Facet records."""
 
 import math
 import random
@@ -192,6 +193,24 @@ def _vectors_built(checked):
     return "_vectors" in vars(checked)
 
 
+def _run_every_query(phi, u, i, j):
+    """Mass, measure, aggregates, type, the extremal direction, the
+    witness, the Lojasiewicz exponent, the ideal multiplicities and a
+    containment report; returns the extremal weight and the witness."""
+    phi.residual_mass()
+    phi.lelong_measure()
+    generalized_lelong(u, phi)
+    generalized_lelong(u, phi, normalized=True)
+    relative_type(u, phi)
+    extremal = phi.extremal_direction()
+    extremal.residual_mass()
+    witness = phi.flatness_witness()
+    phi.lojasiewicz_exponent()
+    samuel_multiplicity(i), mixed_multiplicity(j, i), axis_multiplicities(i)
+    closure_containment_check(j, i, 7)
+    return extremal, witness
+
+
 @pytest.mark.parametrize("n", range(2, 7))
 def test_queries_build_no_vectors(n):
     # Weights, probes and ideals of int tuples: mass, measure, aggregates,
@@ -202,21 +221,34 @@ def test_queries_build_no_vectors(n):
         gens = [tuple(g) for g in random_weight(rng, n).generators.points]
         u = HomogeneousPsh([tuple(g) for g in random_psh(rng, n).generators.points])
         phi = MonomialWeight(gens)
-        phi.residual_mass()
-        phi.lelong_measure()
-        generalized_lelong(u, phi)
-        generalized_lelong(u, phi, normalized=True)
-        relative_type(u, phi)
-        extremal = phi.extremal_direction()
-        extremal.residual_mass()
-        witness = phi.flatness_witness()
-        phi.lojasiewicz_exponent()
         i = PrimaryMonomialIdeal(gens)
         j = MonomialIdeal(random_ideal(rng, n).generators)
-        samuel_multiplicity(i), mixed_multiplicity(j, i), axis_multiplicities(i)
-        closure_containment_check(j, i, 7)
+        extremal, witness = _run_every_query(phi, u, i, j)
         sets = [phi.generators, u.generators, extremal.generators, i._exponents, j._exponents]
         sets += [] if witness is None else [witness.generators]
         assert not any(map(_vectors_built, sets))
         # The first read that needs the vectors builds them, once.
         assert phi.generators[0] == phi.generators[0] and _vectors_built(phi.generators)
+
+
+def _records_built(poly):
+    return "compact_facets" in vars(poly)
+
+
+@pytest.mark.parametrize(
+    "n, m", [(n, None) for n in range(2, 7)] + VERTEX_RICH_SIZES, ids=str
+)
+def test_queries_build_no_facet_records(n, m):
+    # Every query reads the hull's int rows (w, t), so none builds the
+    # Facet records, on seeded draws (m None) and on vertex-rich sets.
+    rng = random.Random(580 + 10 * n + (m or 0))
+    for _ in range(1 if m else 10):
+        gens = vertex_rich(n, m) if m else random_weight(rng, n).generators.points
+        u = random_psh(rng, n)
+        phi, i = MonomialWeight(gens), PrimaryMonomialIdeal(gens)
+        extremal, _ = _run_every_query(phi, u, i, random_ideal(rng, n))
+        polys = [phi.polyhedron, extremal.polyhedron, i.weight.polyhedron]
+        assert not any(map(_records_built, polys))
+        # The first read of the records builds them, once.
+        assert phi.polyhedron.compact_facets is phi.polyhedron.compact_facets
+        assert _records_built(phi.polyhedron)

@@ -28,7 +28,7 @@ from lelong.weights import (
     relative_type,
 )
 
-from reference import fraction_evaluate
+from reference import fraction_evaluate, join, polytope_volume
 from support import (
     ASTAR,
     random_direction,
@@ -37,10 +37,13 @@ from support import (
     random_rational,
     random_weight,
     unit,
+    vertex_rich,
 )
 
 PHI_STAR = MonomialWeight(ASTAR)
 M2 = MonomialWeight([(1, 0), (0, 1)])
+# The vertex-rich sizes of the benchmark's vertex_rich workload.
+VERTEX_RICH_SIZES = [(2, 32), (3, 5), (3, 6), (4, 3), (5, 2)]
 
 
 def F(*args):
@@ -198,11 +201,31 @@ class TestLelongMeasure:
             assert phi.lelong_measure().total_mass == phi.residual_mass()
 
     def test_atoms_on_level_set(self):
+        # Each atom lies on the level set and is -normal/support of its
+        # Facet record, in Fractions, with n! times the brute-force volume
+        # of the cone over the facet as its mass. Beside the random
+        # weights: the benchmark's vertex-rich sizes and a product, whose
+        # atoms repeat coordinates and masses, and rational weights (L > 1).
         rng = random.Random(5)
-        for _ in range(30):
-            phi = random_weight(rng, rng.choice((2, 3)))
-            for atom in phi.lelong_measure().atoms:
+        weights = [random_weight(rng, rng.choice((2, 3))) for _ in range(30)]
+        weights += [MonomialWeight(vertex_rich(n, m)) for n, m in VERTEX_RICH_SIZES]
+        weights.append(MonomialWeight(join(vertex_rich(2, 5), ASTAR)))
+        weights += [_rational_weight(rng, n) for n in range(2, 7) for _ in range(3)]
+        repeats = rational = 0
+        for phi in weights:
+            poly, n = phi.polyhedron, phi.dimension
+            atoms = phi.lelong_measure().atoms
+            assert len(atoms) == len(poly.compact_facets)
+            for facet, atom in zip(poly.compact_facets, atoms):
+                assert atom.vertex == tuple(-c / facet.support for c in facet.normal)
+                assert all(type(x) is Fraction for x in (*atom.vertex, atom.mass))
                 assert phi.evaluate(atom.vertex) == -1
+                cone = polytope_volume([(0,) * n, *poly.facet_points(facet)])
+                assert atom.mass == math.factorial(n) * cone
+            values = [c for atom in atoms for c in atom.vertex] + [a.mass for a in atoms]
+            repeats += len(values) - len(set(values))
+            rational += phi.generators.scale > 1
+        assert repeats and rational
 
 
 class TestDirectionalLelong:
