@@ -9,8 +9,11 @@ oracle). An ideal builds its psh and weight on its checked exponent
 set, whose integer points (lcm L = 1) are its int generators and whose
 record of unreached axes its pure-power check reads; the set's Fraction
 vectors are never built. Multiplicities are ints, read off the weight's
-integer aggregates, and a containment report takes its exponents from
-``containment_exponents``, so the rule ceil(p / e_k) is written once.
+integer aggregates. A primary ideal keeps its axis multiplicities once,
+as one int tuple checked on first use, which ``axis_multiplicities``,
+``containment_exponents`` and every containment report read; a report
+takes its exponents from ``containment_exponents``, so the rule
+ceil(p / e_k) is written once.
 """
 
 from __future__ import annotations
@@ -18,12 +21,11 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from fractions import Fraction
-from functools import cached_property
 from operator import mul
 
 from .errors import InvalidInputError, NotPrimaryError
 from .weights import HomogeneousPsh, MonomialWeight, generalized_lelong
-from .rationals import exponent_set, format_rational
+from .rationals import exponent_set, format_rational, lazy
 
 
 def _as_int(value: Fraction, what: str) -> int:
@@ -46,7 +48,7 @@ class MonomialIdeal:
         self.dimension = len(vecs.points[0])
         self.generators = vecs.points
 
-    @cached_property
+    @lazy
     def psh(self) -> HomogeneousPsh:
         return HomogeneousPsh(self._exponents)
 
@@ -65,9 +67,13 @@ class PrimaryMonomialIdeal(MonomialIdeal):
         if vecs.unreached:
             raise NotPrimaryError(f"no pure power of variable {vecs.unreached[0]}")
 
-    @cached_property
+    @lazy
     def weight(self) -> MonomialWeight:
         return MonomialWeight(self._exponents)
+
+    @lazy
+    def _axis_multiplicities(self) -> tuple[int, ...]:
+        return tuple(_as_int(c, "mixed multiplicity") for c in self.weight._axis_aggregates)
 
 
 def _require_primary(ideal, message):
@@ -103,7 +109,7 @@ def axis_multiplicities(i: PrimaryMonomialIdeal) -> tuple[int, ...]:
     """Mixed multiplicity of each coordinate ideal (z_k) against i: the
     axis aggregates of i's weight, sum over atoms of mass * -t_k."""
     _require_primary(i, "mixed multiplicity needs a primary second ideal")
-    return tuple(_as_int(c, "mixed multiplicity") for c in i.weight._axis_aggregates)
+    return i._axis_multiplicities
 
 
 def containment_exponents(i: PrimaryMonomialIdeal, p: int) -> tuple[int, ...]:
@@ -160,7 +166,7 @@ def closure_containment_check(
     """Assemble the containment report for (j, i, p) from the axis
     multiplicities e_k and the exponents of ``containment_exponents``."""
     p_k = containment_exponents(i, p)
-    e_axes = axis_multiplicities(i)
+    e_axes = i._axis_multiplicities
     e = mixed_multiplicity(j, i)
     # sum_k beta_k / p_k >= 1, times M = lcm(p_k).
     m = math.lcm(*p_k)

@@ -69,7 +69,6 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from fractions import Fraction
-from functools import cached_property
 from operator import mul
 
 from .errors import NotPrimaryError
@@ -78,7 +77,7 @@ from .errors import NotPrimaryError
 # perfbench/test_perfbench.py checks that its tracer wraps a geometry
 # function under every module name that binds it, this one included.
 from .geometry import hyperplane_normal, int_det  # noqa: F401
-from .rationals import exponent_set
+from .rationals import exponent_set, lazy
 
 
 class Facet(namedtuple("Facet", "normal support vertex_indices")):
@@ -304,7 +303,7 @@ class NewtonPolyhedron:
         rows.sort()
         return tuple([row[:2] for row in rows]), tuple([row[-1] for row in rows])
 
-    @cached_property
+    @lazy
     def compact_facets(self):
         """The compact facets as Facets, in the order of the rows: normal w,
         support t/L and the positions of the vertices of the mask among
@@ -318,7 +317,7 @@ class NewtonPolyhedron:
             ]
         )
 
-    @cached_property
+    @lazy
     def vertices(self):
         """The generators that are vertices, as the set's Fraction vectors.
         Nothing in the kernel reads them, so they are built on first use."""
@@ -327,14 +326,14 @@ class NewtonPolyhedron:
     def facet_points(self, facet: Facet):
         return tuple(self.vertices[i] for i in facet.vertex_indices)
 
-    @cached_property
+    @lazy
     def axis_intercepts(self):
         """Per axis k, the least c with c*e_k in the polyhedron: an alias of
         ``generators.intercepts``, kept only while ``perfbench/`` reads it
         (its ``newton.axis_intercepts`` span and ``OracleCheck.check``)."""
         return self.generators.intercepts
 
-    @cached_property
+    @lazy
     def _facet_cone_volumes(self):
         """Per compact facet, the int L^n n! times the volume of the cone
         over it: the sum of |int_det| over the simplices of its

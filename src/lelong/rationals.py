@@ -21,6 +21,10 @@ queries never make, so a set of int tuples builds no Fraction. The set
 dedupes and sorts its integer points itself, so ``exponent_set`` only
 checks and scales, and a caller that has the integer points and their
 lcm already, as ``DirectionalWeight`` does, builds the set directly.
+
+Every derived value of the package that is computed on first use is
+declared with the one descriptor ``lazy``, defined here because every
+layer imports this module.
 """
 
 from __future__ import annotations
@@ -42,6 +46,26 @@ MAX_DIMENSION = 6
 # that json.loads accepts, so strings and JSON integers share one bound.
 MAX_DIGITS = 4300
 _RATIONAL = re.compile(rf"-?[0-9]{{1,{MAX_DIGITS}}}(?:/[0-9]{{1,{MAX_DIGITS}}})?")
+
+
+class lazy(cached_property):
+    """A ``functools.cached_property`` without the lock: the first read
+    calls the function and stores its value in the instance's
+    ``__dict__`` under the attribute's own name, where every later read
+    finds it without calling the descriptor.
+
+    These are the semantics of ``cached_property`` from Python 3.12 on
+    (python/cpython gh-87634): two threads that read an attribute for the
+    first time at once may both compute it, and one value replaces the
+    other. That is harmless here, because every lazy value is a pure
+    function of an object that does not change.
+    """
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.attrname] = self.func(instance)
+        return value
 
 
 def parse_rational(value) -> Fraction:
@@ -142,7 +166,7 @@ class _ExponentSet(Sequence):
         # and dropping duplicates keeps the set of denominators, hence L.
         self.points = tuple(sorted(set(points)))
 
-    @cached_property
+    @lazy
     def _vectors(self):
         """The vectors P/L: one Fraction per distinct entry."""
         values = {c: Fraction(c, self.scale) for c in {c for p in self.points for c in p}}
@@ -171,7 +195,7 @@ class _ExponentSet(Sequence):
     def __repr__(self):
         return repr(self._vectors)
 
-    @cached_property
+    @lazy
     def pure_powers(self):
         """Per axis k, the index of the least pure power M_k e_k (M_k > 0)
         of the set, or None when there is none.
@@ -188,7 +212,7 @@ class _ExponentSet(Sequence):
                     least[k] = i
         return tuple(least)
 
-    @cached_property
+    @lazy
     def unreached(self):
         """The axes without a pure power, read off the pure-power record;
         the zero vector, when it is a generator, reaches every axis."""
@@ -196,7 +220,7 @@ class _ExponentSet(Sequence):
             return ()
         return tuple(k for k, i in enumerate(self.pure_powers) if i is None)
 
-    @cached_property
+    @lazy
     def intercepts(self):
         """Per axis k, the least g_k over the generators that vanish off
         axis k, or math.inf when there is none.

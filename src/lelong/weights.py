@@ -26,7 +26,10 @@ Fraction, with none built before it and one per distinct value: each
 atom's vertex coordinate -w_k/h = -w_k L/t is built from the ints
 without a division, once per distinct (w_k, t), and each mass once per
 distinct cone total; the atoms that share a value share the Fraction.
-Each pairing with the measure is written once. A psh's least value
+Each pairing with the measure is written once and computed once per
+(psh, weight): a psh keeps its least values on the last weight's facet
+normals, so the aggregate, the normalized aggregate, the type and the
+mixed multiplicity of one pair share them. A psh's least value
 min_j <P_j, a> over its integer points P_j = L b_j, over L, is its
 directional number at a; with a = w and over L h, it is the psh's number
 at the atom of the facet (w, h), and the type is the least of those
@@ -43,12 +46,11 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from fractions import Fraction
-from functools import cached_property
 from operator import mul
 
 from .errors import InvalidInputError, NotPrimaryError
 from .newton import NewtonPolyhedron
-from .rationals import _ExponentSet, exponent_set, positive_direction, vector
+from .rationals import _ExponentSet, exponent_set, lazy, positive_direction, vector
 
 NEG_INFINITY = float("-inf")
 
@@ -57,14 +59,16 @@ class HomogeneousPsh:
     """Maximum of linear forms with nonnegative rational exponents.
 
     Instances are immutable value objects; every derived quantity is
-    cached on first use.
+    cached on first use, and the pairing with a weight is kept for the
+    last weight paired.
     """
 
     def __init__(self, generators):
         self.generators = exponent_set(generators)
         self.dimension = len(self.generators.points[0])
+        self._pairing = None, ()
 
-    @cached_property
+    @lazy
     def polyhedron(self) -> NewtonPolyhedron:
         return NewtonPolyhedron(self.generators)
 
@@ -93,6 +97,23 @@ class HomogeneousPsh:
     def _least(self, a):
         """min_j <P_j, a> over the integer points P_j = L b_j of the set."""
         return min(sum(map(mul, p, a)) for p in self.generators.points)
+
+    def _least_on(self, phi):
+        """The list of ``_least(w)`` over the facet rows (w, t) of the
+        weight ``phi``, in row order.
+
+        It is kept for the last weight paired, in one slot keyed by that
+        weight's identity: the slot holds the weight itself, so the
+        identity cannot pass to another object while the list is kept, and
+        a psh paired with many weights holds one list. The slot is one
+        tuple, read and replaced whole, so threads that share a psh may
+        compute a pairing twice but never read a list with another weight.
+        """
+        weight, least = self._pairing
+        if weight is not phi:
+            least = [self._least(w) for w, _ in phi.polyhedron._facet_rows]
+            self._pairing = phi, least
+        return least
 
     def directional_lelong(self, direction) -> Fraction:
         """min_j <b_j, a> for a strictly positive direction a."""
@@ -137,7 +158,7 @@ class MonomialWeight(HomogeneousPsh):
         if gens.unreached:
             raise NotPrimaryError(f"no pure power on axis {gens.unreached[0]}")
 
-    @cached_property
+    @lazy
     def _residual_mass(self) -> Fraction:
         # n! times the covolume: the int sum of the cone totals over L^n.
         poly = self.polyhedron
@@ -147,7 +168,7 @@ class MonomialWeight(HomogeneousPsh):
         """Total mass of the measure; n! times the covolume. Positive."""
         return self._residual_mass
 
-    @cached_property
+    @lazy
     def _measure(self) -> LelongMeasure:
         poly = self.polyhedron
         scale = poly.generators.scale
@@ -175,7 +196,7 @@ class MonomialWeight(HomogeneousPsh):
         the cone over the facet."""
         return self._measure
 
-    @cached_property
+    @lazy
     def _mass_over_support(self) -> tuple[int, tuple[int, ...]]:
         """The ratios mass / h of the atoms, in atom order, brought to
         integers c over their least common denominator Q, as (Q, c).
@@ -201,7 +222,7 @@ class MonomialWeight(HomogeneousPsh):
 
         A psh u with integer points P_j = L b_j has the number
         min_j <P_j, w> / (L h) at the atom of the facet (w, h), so its
-        aggregate is this with least = u._least(w) and scale = L.
+        aggregate is this with least = u._least_on(self) and scale = L.
         """
         common, coefficients = self._mass_over_support
         total = sum(map(mul, coefficients, least))
@@ -209,7 +230,7 @@ class MonomialWeight(HomogeneousPsh):
             return Fraction(total, common * scale)
         return Fraction(total * tau.denominator, common * scale * tau.numerator)
 
-    @cached_property
+    @lazy
     def _axis_aggregates(self) -> tuple[Fraction, ...]:
         """Per axis k, the sum over atoms of mass * -t_k: the aggregate of
         the axis probe e_k against the measure, whose number at the atom
@@ -243,7 +264,8 @@ class MonomialWeight(HomogeneousPsh):
         first, *rest = (atom.vertex for atom in self.lelong_measure().atoms)
         for k in range(self.dimension):
             if any(t[k] != first[k] for t in rest):
-                return HomogeneousPsh([tuple(int(i == k) for i in range(self.dimension))])
+                probe = tuple(int(i == k) for i in range(self.dimension))
+                return HomogeneousPsh(_ExponentSet(1, [probe]))
         return None
 
     def lojasiewicz_exponent(self) -> Fraction:
@@ -291,8 +313,8 @@ def generalized_lelong(u: HomogeneousPsh, phi: MonomialWeight, normalized: bool 
     ``normalized`` the result is divided by phi's residual mass.
     """
     _check_pair(u, phi)
-    least = [u._least(w) for w, _ in phi.polyhedron._facet_rows]
-    return phi._aggregate(least, u.generators.scale, phi.residual_mass() if normalized else None)
+    tau = phi.residual_mass() if normalized else None
+    return phi._aggregate(u._least_on(phi), u.generators.scale, tau)
 
 
 def relative_type(u: HomogeneousPsh, phi: MonomialWeight) -> Fraction:
@@ -307,9 +329,9 @@ def relative_type(u: HomogeneousPsh, phi: MonomialWeight) -> Fraction:
     _check_pair(u, phi)
     scale = phi.generators.scale
     best = None
-    for w, t in phi.polyhedron._facet_rows:
+    for (_, t), least in zip(phi.polyhedron._facet_rows, u._least_on(phi)):
         # u._least(w) L_phi / t for the support h = t/L_phi, compared cross-multiplied.
-        num = u._least(w) * scale
+        num = least * scale
         if best is None or num * best[1] < best[0] * t:
             best = num, t
     return Fraction(best[0], best[1] * u.generators.scale)

@@ -1,4 +1,6 @@
-"""No module of the package imports a name that it never reads."""
+"""No module of the package imports a name that it never reads, and only
+``rationals`` binds ``functools.cached_property``: it defines the one lazy
+descriptor that every other module uses."""
 
 import ast
 from pathlib import Path
@@ -56,3 +58,28 @@ def test_the_guard_finds_an_unused_name():
     )
     assert unused_imports(source) == ["InvalidInputError"]
     assert unused_imports(source.replace("int_det)", "None)")) == ["InvalidInputError", "int_det"]
+
+
+def binds_cached_property(source):
+    """True iff ``source`` imports ``cached_property`` from ``functools``
+    or reads it as an attribute, such as ``functools.cached_property``."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            if any(alias.name in ("cached_property", "*") for alias in node.names):
+                return True
+        if isinstance(node, ast.Attribute) and node.attr == "cached_property":
+            return True
+    return False
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_only_rationals_binds_cached_property(path):
+    # Every other module declares its lazy attributes with rationals.lazy.
+    assert binds_cached_property(path.read_text()) == (path.name == "rationals.py")
+
+
+def test_the_cached_property_guard():
+    assert binds_cached_property("from functools import cached_property as cp\n")
+    assert binds_cached_property("import functools\nx = functools.cached_property\n")
+    assert binds_cached_property("from functools import *\n")
+    assert not binds_cached_property("from functools import reduce\nfrom .rationals import lazy\n")

@@ -8,6 +8,8 @@ Fraction vectors or the polyhedron's Facet records."""
 
 import math
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -124,6 +126,79 @@ def test_weight_queries_equal_the_fraction_code(n):
             tally.add(phi, probes)
             _assert_weight_parity(phi, probes)
     assert tally.nonflat and tally.unreached and tally.rational and tally.tau_den
+
+
+def _assert_pairing(u, phi):
+    """u's aggregate, normalized aggregate and type against ``phi`` equal
+    a fresh psh's and the Fraction code's, and u keeps one pairing: the
+    one with ``phi``."""
+    for normalized in (False, True):
+        got = generalized_lelong(u, phi, normalized=normalized)
+        fresh = generalized_lelong(HomogeneousPsh(u.generators), phi, normalized=normalized)
+        _assert_same_fraction(got, fraction_generalized_lelong(u, phi, normalized=normalized))
+        assert got == fresh
+    got = relative_type(u, phi)
+    _assert_same_fraction(got, fraction_relative_type(u, phi))
+    assert got == relative_type(HomogeneousPsh(u.generators), phi)
+    assert u._pairing[0] is phi
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_pairing_follows_the_weight(n):
+    # One psh paired in turn with weights A, B, A, an ideal's weight, and
+    # a weight C that is itself a psh paired with A; then C with itself
+    # and with A again. B has L > 1, and A and the ideal's weight share
+    # L = 1, so a pairing kept by scale, or kept whatever the weight,
+    # gives a wrong value on some step.
+    rng = random.Random(600 + n)
+    max_exp = 16 if n == 6 else 12
+    seen = set()
+    for _ in range(4):
+        a, c = (random_weight(rng, n, max_exp=max_exp) for _ in range(2))
+        b = _rational_weight(rng, n, max_exp=max_exp)
+        ideal_weight = random_primary_ideal(rng, n).weight
+        _assert_pairing(c, a)
+        for u in _probes(rng, n):
+            for phi in (a, b, a, ideal_weight, c):
+                _assert_pairing(u, phi)
+                seen.add(tuple(u._least_on(phi)))
+        for phi in (c, a):
+            _assert_pairing(c, phi)
+        assert b.generators.scale > 1 and a.generators.scale == ideal_weight.generators.scale
+    assert len(seen) > 20
+
+
+def test_pairing_shared_by_threads():
+    # Four threads share one psh and four fresh weights, each thread
+    # pairing the psh with the weights in its own order under a short
+    # switch interval, so pairings replace each other and the weights'
+    # lazy values are first read at once; every value equals the Fraction
+    # code's on a psh of its own.
+    rng = random.Random(620)
+    drawn = [random_weight(rng, 4, max_exp=16) for _ in range(4)]
+    u = random_psh(rng, 4)
+    want = [fraction_generalized_lelong(HomogeneousPsh(u.generators), phi) for phi in drawn]
+    shared = [MonomialWeight(phi.generators) for phi in drawn]
+    wrong = []
+
+    def pair(k):
+        for step in range(200):
+            m = (k + step) % len(shared)
+            if generalized_lelong(u, shared[m]) != want[m]:
+                wrong.append((k, step))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=pair, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
 
 
 def _closure_boundary(p_k):
