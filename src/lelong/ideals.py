@@ -8,12 +8,12 @@ Mixed multiplicities are computed through the measure aggregation path
 oracle). An ideal builds its psh and weight on its checked exponent
 set, whose integer points (lcm L = 1) are its int generators and whose
 record of unreached axes its pure-power check reads; the set's Fraction
-vectors are never built. Multiplicities are ints, read off the weight's
-integer aggregates. A primary ideal keeps its axis multiplicities once,
-as one int tuple checked on first use, which ``axis_multiplicities``,
-``containment_exponents`` and every containment report read; a report
-takes its exponents from ``containment_exponents``, so the rule
-ceil(p / e_k) is written once.
+vectors are never built. Multiplicities are ints, checked by ``_as_int``
+on the weight's unreduced int aggregates. A primary ideal keeps its axis
+multiplicities once, as one int tuple checked on first use, which
+``axis_multiplicities``, ``containment_exponents`` and every containment
+report read; a report takes its exponents from ``containment_exponents``,
+so the rule ceil(p / e_k) is written once.
 """
 
 from __future__ import annotations
@@ -21,19 +21,20 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from fractions import Fraction
-from operator import mul
+from operator import ge, mul
 
 from .errors import InvalidInputError, NotPrimaryError
-from .weights import HomogeneousPsh, MonomialWeight, generalized_lelong
+from .weights import HomogeneousPsh, MonomialWeight
 from .rationals import exponent_set, format_rational, lazy
 
 
-def _as_int(value: Fraction, what: str) -> int:
-    """``value``, a multiplicity, as an int. It is one; the guard stays so
-    that a kernel fault raises instead of surfacing as a wrong integer."""
-    if value.denominator != 1:
-        raise AssertionError(f"{what} must be an integer, got {value}")
-    return int(value)
+def _as_int(numerator: int, denominator: int, what: str) -> int:
+    """The multiplicity numerator / denominator as an int. It is one; the
+    guard stays so that a kernel fault raises, not a wrong integer."""
+    quotient, remainder = divmod(numerator, denominator)
+    if remainder:
+        raise AssertionError(f"{what} must be an integer, got {Fraction(numerator, denominator)}")
+    return quotient
 
 
 class MonomialIdeal:
@@ -73,7 +74,10 @@ class PrimaryMonomialIdeal(MonomialIdeal):
 
     @lazy
     def _axis_multiplicities(self) -> tuple[int, ...]:
-        return tuple(_as_int(c, "mixed multiplicity") for c in self.weight._axis_aggregates)
+        # The axis probe e_k has the number w_k / h at the atom of the facet (w, h).
+        phi = self.weight
+        columns = zip(*(w for w, _ in phi.polyhedron._facet_rows))
+        return tuple(_as_int(*phi._aggregate_parts(c, 1), "mixed multiplicity") for c in columns)
 
 
 def _require_primary(ideal, message):
@@ -85,7 +89,7 @@ def samuel_multiplicity(ideal: PrimaryMonomialIdeal) -> int:
     """Residual mass of the associated weight; a positive integer. Both
     guards stay, so that a kernel fault raises, not a wrong integer."""
     _require_primary(ideal, "Samuel multiplicity needs a primary ideal")
-    e = _as_int(ideal.weight.residual_mass(), "Samuel multiplicity")
+    e = _as_int(*ideal.weight.residual_mass().as_integer_ratio(), "Samuel multiplicity")
     if e <= 0:
         raise AssertionError("Samuel multiplicity must be positive")
     return e
@@ -96,7 +100,8 @@ def mixed_multiplicity(j: MonomialIdeal, i: PrimaryMonomialIdeal) -> int:
     _require_primary(i, "mixed multiplicity needs a primary second ideal")
     if j.dimension != i.dimension:
         raise InvalidInputError("ideals have different dimensions")
-    return _as_int(generalized_lelong(j.psh, i.weight), "mixed multiplicity")
+    phi = i.weight
+    return _as_int(*phi._aggregate_parts(j.psh._least_on(phi), 1), "mixed multiplicity")
 
 
 def minimal_multiplicity(j: MonomialIdeal) -> int:
@@ -173,9 +178,9 @@ def closure_containment_check(
     steps = [m // q for q in p_k]
     rows = []
     for beta in j.generators:
-        axis_bound = sum(b * ek for b, ek in zip(beta, e_axes)) >= p
+        axis_bound = sum(map(mul, beta, e_axes)) >= p
         closure = sum(map(mul, beta, steps)) >= m
-        literal = any(b >= q for b, q in zip(beta, p_k))
+        literal = any(map(ge, beta, p_k))
         rows.append(GeneratorContainment(beta, axis_bound, closure, literal))
     return ContainmentReport(
         p=p,

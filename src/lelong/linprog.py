@@ -13,7 +13,8 @@ Res. 2, 1977) guarantees termination. It takes ints only and raises
 TypeError on anything else, as a Fraction would be floor-divided:
 ``cone_point_member`` brings its point and the checked set's integer
 points to one common scale, and the Monte Carlo oracle passes exact int
-samples.
+samples; it checks its columns once per estimate and then calls
+``_feasible``, which checks only the point of each sample.
 """
 
 from __future__ import annotations
@@ -32,10 +33,20 @@ def feasible(columns, x) -> bool:
     the lowest basis index, and an unbounded column is the zero generator.
     Any entry that is not an int raises TypeError.
     """
+    _check_ints(columns)
+    return _feasible(columns, x)
+
+
+def _check_ints(vectors):
+    if not all(isinstance(a, int) for v in vectors for a in v):
+        raise TypeError("feasible takes int columns and an int point")
+
+
+def _feasible(columns, x) -> bool:
+    """``feasible`` on columns that ``_check_ints`` passed; checks ``x``."""
+    _check_ints((x,))
     n, m = len(x), len(columns)
     tab = [[g[i] for g in columns] + [int(k == i) for k in range(n)] + [x[i]] for i in range(n)]
-    if not all(isinstance(a, int) for row in tab for a in row):
-        raise TypeError("feasible takes int columns and an int point")
     # Reduced costs of min -sum(lambda); the last cell is d sum(lambda).
     tab.append([-1] * m + [0] * (n + 1))
     basis = list(range(m, m + n))

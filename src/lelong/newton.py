@@ -139,18 +139,21 @@ def _dual_rays(gens):
     n = len(points[0])
     d = n + 1
     full = (1 << d) - 1
-    # Per axis k, M_k and the zero-set bit of M_k e_k, or 0 and 0.
-    powers = [0 if i is None else points[i][k] for k, i in enumerate(pure_powers)]
-    pure = [0 if i is None else 1 << (d + i) for i in pure_powers]
+    zero = (0,) * d
+    # Per axis k, M_k and the zero-set bit of M_k e_k, or 0 and 0; off: the axes without one.
+    powers, pure, off = [0] * n, [0] * n, full >> 1
+    for k, i in enumerate(pure_powers):
+        if i is not None:
+            powers[k], pure[k] = points[i][k], 1 << (d + i)
+            off ^= 1 << k
     tight = sum(pure)
     rays = [
-        (tuple(int(i == k) for i in range(d)), (full ^ 1 << k) | (tight ^ pure[k]))
-        for k in range(n)
+        (zero[:k] + (1,) + zero[k + 1 :], (full ^ 1 << k) | (tight ^ pure[k])) for k in range(n)
     ]
-    scale = math.lcm(*filter(None, powers))
-    off = sum(1 << k for k in range(n) if not powers[k])
-    rays.append((tuple(scale // m if m else 0 for m in powers) + (scale,), off | tight))
-    for j in sorted(range(len(points)), key=lambda j: sum(points[j])):
+    scale = math.lcm(*[m for m in powers if m])
+    rays.append((tuple([scale // m if m else 0 for m in powers]) + (scale,), off | tight))
+    sums = list(map(sum, points))
+    for j in sorted(range(len(points)), key=sums.__getitem__):
         if j in pure_powers:
             continue
         q = (*points[j], -1)
@@ -166,7 +169,7 @@ def _dual_rays(gens):
             else:
                 kept.append((r, z | bit))
         if neg:
-            zs = [z for _, z in rays]
+            zs = None
             for rp, zp, sp in pos:
                 for rq, zq, sq, degenerate_q in neg:
                     # Adjacent iff the inequalities tight on both have
@@ -180,6 +183,8 @@ def _dual_rays(gens):
                         # inequality tight on both. The two count
                         # themselves, and distinct extreme rays have
                         # distinct zero sets, so the scan stops at the third.
+                        if zs is None:
+                            zs = [z for _, z in rays]
                         seen = 0
                         for z in zs:
                             if z & common == common:

@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from .errors import InvalidInputError, NotPrimaryError
 from .ideals import PrimaryMonomialIdeal
-from .linprog import feasible
+from .linprog import _check_ints, _feasible
 from .newton import NewtonPolyhedron
 from .rationals import exponent_set
 from .weights import MonomialWeight
@@ -98,7 +98,7 @@ def covolume_monte_carlo(poly: NewtonPolyhedron, samples: int, seed: int) -> McE
     """Estimate the covolume by uniform sampling in the box of the checked
     set's intercepts (all 0 when the zero vector is a generator).
 
-    Membership is decided by the LP ``linprog.feasible`` on the checked
+    Membership is decided by the LP of ``linprog.feasible`` on the checked
     generators, not the kernel's vertices, so the indicator is exact and
     independent of the vertex reduction. A uniform double is k / 2^53
     for an int k, so a sample scaled by 2^53 L is the int vector
@@ -119,7 +119,8 @@ def covolume_monte_carlo(poly: NewtonPolyhedron, samples: int, seed: int) -> McE
     ks = np.ldexp(rng.random((samples, poly.dimension)), 53).astype(np.int64).tolist()
     top = [int(m * gens.scale) for m in gens.intercepts]
     columns = [[c << 53 for c in point] for point in gens.points]
-    outside = sum(not feasible(columns, [k * m for k, m in zip(row, top)]) for row in ks)
+    _check_ints(columns)
+    outside = sum(not _feasible(columns, [k * m for k, m in zip(row, top)]) for row in ks)
     p = outside / samples
     std = math.sqrt(p * (1 - p) * samples / (samples - 1))
     return McEstimate(box_volume * p, box_volume * std / math.sqrt(samples), samples, seed)

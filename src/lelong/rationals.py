@@ -207,7 +207,7 @@ class _ExponentSet(Sequence):
         least = [None] * n
         for i, p in enumerate(self.points):
             if p.count(0) == n - 1:
-                k = next(k for k, c in enumerate(p) if c)
+                k = p.index(max(p))
                 if least[k] is None:
                     least[k] = i
         return tuple(least)

@@ -36,9 +36,9 @@ at the atom of the facet (w, h), and the type is the least of those
 numbers, compared cross-multiplied. The aggregate brings the atoms'
 ratios mass/h to integers c over their least common denominator Q,
 computed in ints from the cone totals and the unreduced supports t/L,
-so each aggregate is one integer sum S over Q L, and divided by the
-residual mass tau it is S tau.den over Q L tau.num; the axis aggregates
-are those of the probes e_k.
+so each aggregate is one integer sum S over Q L (``_aggregate_parts``),
+and divided by the residual mass tau it is S tau.den over Q L tau.num;
+the axis aggregates are those of the probes e_k.
 """
 
 from __future__ import annotations
@@ -215,28 +215,25 @@ class MonomialWeight(HomogeneousPsh):
         g = math.gcd(common, *coefficients)
         return common // g, tuple(c // g for c in coefficients)
 
-    def _aggregate(self, least, scale, tau=None) -> Fraction:
+    def _aggregate_parts(self, least, scale) -> tuple[int, int]:
         """Sum over atoms of mass * least / (scale * h), for per-atom
-        integers ``least`` in atom order: sum c * least over Q * scale,
-        and over ``tau`` too when it is given.
+        integers ``least`` in atom order, as the unreduced int pair
+        (sum c * least, Q * scale).
 
         A psh u with integer points P_j = L b_j has the number
         min_j <P_j, w> / (L h) at the atom of the facet (w, h), so its
-        aggregate is this with least = u._least_on(self) and scale = L.
+        aggregate is this with least = u._least_on(self) and scale = L;
+        the axis probe e_k has least = the w_k of the rows and scale = 1.
         """
         common, coefficients = self._mass_over_support
-        total = sum(map(mul, coefficients, least))
-        if tau is None:
-            return Fraction(total, common * scale)
-        return Fraction(total * tau.denominator, common * scale * tau.numerator)
+        return sum(map(mul, coefficients, least)), common * scale
 
-    @lazy
-    def _axis_aggregates(self) -> tuple[Fraction, ...]:
-        """Per axis k, the sum over atoms of mass * -t_k: the aggregate of
-        the axis probe e_k against the measure, whose number at the atom
-        of the facet (w, h) is w_k / h."""
-        columns = zip(*(w for w, _ in self.polyhedron._facet_rows))
-        return tuple(self._aggregate(column, 1) for column in columns)
+    def _aggregate(self, least, scale, tau=None) -> Fraction:
+        """``_aggregate_parts`` as one Fraction, over ``tau`` too when given."""
+        total, common = self._aggregate_parts(least, scale)
+        if tau is None:
+            return Fraction(total, common)
+        return Fraction(total * tau.denominator, common * tau.numerator)
 
     def extremal_direction(self) -> "DirectionalWeight":
         """The barycenter a of the normalized measure: a_k is the axis

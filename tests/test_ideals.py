@@ -202,6 +202,27 @@ class TestMixed:
         with pytest.raises(NotPrimaryError, match=message):
             mixed_multiplicity(I_STAR, MonomialIdeal([(2, 0), (1, 1)]))
 
+    @pytest.mark.parametrize(
+        "query, got",
+        [
+            (lambda i: mixed_multiplicity(MonomialIdeal([(1, 1)]), i), "6/7"),
+            (axis_multiplicities, "3/7"),
+            (lambda i: closure_containment_check(MonomialIdeal([(1, 1)]), i, 3), "3/7"),
+        ],
+        ids=["mixed", "axis", "containment"],
+    )
+    def test_guard_turns_a_kernel_fault_into_an_error(self, monkeypatch, query, got):
+        # A mixed multiplicity is an integer; a kernel whose aggregate is
+        # not one must raise, not yield a wrong integer. I_STAR's rows are
+        # (1, 2; 3) and (2, 1; 3): with each ratio mass/h read as 1/7, the
+        # aggregate of z1 z2 is (3 + 3)/7 and that of the axis probe e_1
+        # is (1 + 2)/7.
+        ideal = PrimaryMonomialIdeal(ASTAR)
+        monkeypatch.setattr(ideal.weight, "_mass_over_support", (7, (1, 1)))
+        message = f"^mixed multiplicity must be an integer, got {got}$"
+        with pytest.raises(AssertionError, match=message):
+            query(ideal)
+
 
 class TestContainmentExponents:
     def test_worked_example(self):

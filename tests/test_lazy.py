@@ -30,7 +30,7 @@ LAZY = {
     weights.HomogeneousPsh: (lambda: weights.HomogeneousPsh(GENS), ["polyhedron"]),
     weights.MonomialWeight: (
         lambda: weights.MonomialWeight(GENS),
-        ["_residual_mass", "_measure", "_mass_over_support", "_axis_aggregates"],
+        ["_residual_mass", "_measure", "_mass_over_support"],
     ),
     ideals.MonomialIdeal: (lambda: ideals.MonomialIdeal(GENS), ["psh"]),
     ideals.PrimaryMonomialIdeal: (
