@@ -145,6 +145,8 @@ def _dual_rays(gens):
     for k, i in enumerate(pure_powers):
         if i is not None:
             powers[k], pure[k] = points[i][k], 1 << (d + i)
+            # Left set, bit k would repeat M_k e_k's bit on every ray and change
+            # no output, but push rays over d bits: more pairs take the scan.
             off ^= 1 << k
     tight = sum(pure)
     rays = [

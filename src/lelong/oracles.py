@@ -11,14 +11,13 @@ The Monte Carlo estimate reports a value and its standard error; it
 never feeds back into exact results. Its sample count and seed must be
 ints; anything else is an InvalidInputError. So is a sample box whose
 volume a float cannot hold: exact values become floats through
-``_float``, which rejects one past the float range. Only the Monte Carlo
-oracle uses numpy, and it imports it itself, so importing this module
-(and the CLI) does not load it.
+``_float``, which rejects one past the float range.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from collections import namedtuple
 from fractions import Fraction
 
@@ -100,27 +99,25 @@ def covolume_monte_carlo(poly: NewtonPolyhedron, samples: int, seed: int) -> McE
 
     Membership is decided by the LP of ``linprog.feasible`` on the checked
     generators, not the kernel's vertices, so the indicator is exact and
-    independent of the vertex reduction. A uniform double is k / 2^53
-    for an int k, so a sample scaled by 2^53 L is the int vector
-    k * (L box) >= 0, tested against the integer points shifted left by
-    53 bits. Philox makes it deterministic per (seed, samples); a box
-    volume past the float range is rejected first. ``standard_error`` is
+    independent of the vertex reduction. A sample is k / 2^53 of the box
+    side per coordinate, k = getrandbits(53) of random.Random(seed), so
+    scaled by 2^53 L it is the int vector k * (L box) >= 0, tested against
+    the integer points shifted left by 53 bits. A box volume past the
+    float range is rejected first. ``standard_error`` is
     the plug-in binomial SE, 0 when no sample falls outside (as is usual
     at n = 6), where a within-k-SE check says nothing.
     """
-    import numpy as np
-
     _check_sampling(samples, seed)
     gens = poly.generators
     if gens.unreached:
         raise NotPrimaryError("covolume is infinite: some axis is never reached")
     box_volume = _float("the sample box volume", math.prod(gens.intercepts))
-    rng = np.random.Generator(np.random.Philox(seed))
-    ks = np.ldexp(rng.random((samples, poly.dimension)), 53).astype(np.int64).tolist()
     top = [int(m * gens.scale) for m in gens.intercepts]
     columns = [[c << 53 for c in point] for point in gens.points]
     _check_ints(columns)
-    outside = sum(not _feasible(columns, [k * m for k, m in zip(row, top)]) for row in ks)
+    rng = random.Random(seed)
+    draws = ([rng.getrandbits(53) * m for m in top] for _ in range(samples))
+    outside = sum(not _feasible(columns, x) for x in draws)
     p = outside / samples
     std = math.sqrt(p * (1 - p) * samples / (samples - 1))
     return McEstimate(box_volume * p, box_volume * std / math.sqrt(samples), samples, seed)

@@ -35,6 +35,10 @@ from the Fraction atoms of the measure, ``fraction_generalized_lelong``,
 ``lelong.ideals`` but its two record types.
 ``join`` places exponent sets side by side in disjoint coordinates, for
 the product identities of the invariants.
+``certify`` checks a primary polyhedron's compact facets from its
+integer points, facet rows and masks alone, with its own determinant
+``bareiss_det``: each row is a valid inequality tight on its mask, and
+the cones from the origin over the facets tile the positive orthant.
 """
 
 from __future__ import annotations
@@ -61,6 +65,7 @@ from lelong.cli import (
 from lelong.errors import InvalidInputError
 from lelong.geometry import hyperplane_normal, int_det
 from lelong.ideals import ContainmentReport, GeneratorContainment
+from lelong.newton import _pull
 from lelong.rationals import integer_scaling, parse_rational, vector
 from lelong.weights import NEG_INFINITY, HomogeneousPsh
 
@@ -437,3 +442,64 @@ def fraction_closure_containment_check(j, i, p):
         for beta in j.generators
     )
     return ContainmentReport(p, e, e >= p, e_axes, p_k, rows)
+
+
+def bareiss_det(rows):
+    """Determinant of a square int matrix by fraction-free elimination
+    (Bareiss 1968), swapping in a lower row on a zero pivot."""
+    a = [list(r) for r in rows]
+    sign, previous = 1, 1
+    for k in range(len(a) - 1):
+        if not a[k][k]:
+            swap = next((i for i in range(k + 1, len(a)) if a[i][k]), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        for i in range(k + 1, len(a)):
+            for j in range(k + 1, len(a)):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // previous
+        previous = a[k][k]
+    return sign * a[-1][-1]
+
+
+def certify(poly):
+    """The faults of the compact facets of a primary polyhedron ``poly``
+    (every axis reached, the zero vector not a generator), as a list of
+    strings, empty when it is certified. Reads only the integer points,
+    the facet rows (w, t), the facet masks and the masks of the rays.
+
+    Validity: each row has <w, p_j> >= t on every integer point p_j, with
+    equality on every bit of its mask. Tiling: the cones from the origin
+    over the compact facets tile the positive orthant, so over the
+    simplices sigma of ``newton._pull`` on every facet, the shares
+    |det sigma| / prod_{v in sigma} |v|_1 of the standard simplex that
+    their radial projections cover sum to 1, |v|_1 the coordinate sum.
+    The identity is scale-free, so it runs on the integer points, in ints:
+    sum |det sigma| * (D / prod) = D, with D the lcm of the products. A
+    missing facet or simplex makes the sum less than 1, an overlap more.
+    """
+    points = poly.generators.points
+    n = len(points[0])
+
+    def members(mask):
+        return [j for j in range(len(points)) if mask >> j & 1]
+
+    faults = []
+    for (w, t), mask in zip(poly._facet_rows, poly._facet_masks):
+        slacks = [sum(map(mul, w, p)) - t for p in points]
+        if min(slacks) < 0:
+            faults.append(f"row {w, t} cuts off a point")
+        if any(slacks[j] for j in members(mask)):
+            faults.append(f"row {w, t} is not tight on its mask")
+    cuts = [tight for _, tight in poly._rays]
+    terms = []
+    for face in poly._facet_masks:
+        for simplex in _pull(face, n - 1, cuts):
+            vertices = [points[j] for j in members(simplex)]
+            terms.append((abs(bareiss_det(vertices)), math.prod(map(sum, vertices))))
+    common = math.lcm(*[product for _, product in terms])
+    total = sum(det * (common // product) for det, product in terms)
+    if total != common:
+        faults.append(f"the facet cones cover {Fraction(total, common)} of the orthant")
+    return faults

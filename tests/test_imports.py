@@ -1,8 +1,10 @@
-"""No module of the package imports a name that it never reads, and only
-``rationals`` binds ``functools.cached_property``: it defines the one lazy
-descriptor that every other module uses."""
+"""No module of the package imports a name that it never reads or a
+module from outside the standard library, and only ``rationals`` binds
+``functools.cached_property``: it defines the one lazy descriptor that
+every other module uses."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -83,3 +85,37 @@ def test_the_cached_property_guard():
     assert binds_cached_property("import functools\nx = functools.cached_property\n")
     assert binds_cached_property("from functools import *\n")
     assert not binds_cached_property("from functools import reduce\nfrom .rationals import lazy\n")
+
+
+def outside_imports(source):
+    """The top-level modules that ``source`` imports and that are not in
+    the standard library, sorted. Every import counts, function bodies
+    included; a relative import is the package's own."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names.add(node.module.split(".")[0])
+    return sorted(names - sys.stdlib_module_names)
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_package_imports_only_the_standard_library(path):
+    assert outside_imports(path.read_text()) == []
+
+
+def test_the_standard_library_guard():
+    source = (
+        "from __future__ import annotations\n"
+        "import math, os.path\n"
+        "from . import errors\n"
+        "from .geometry import int_det\n"
+        "from collections.abc import Sequence\n"
+        "import scipy.spatial as sp\n"
+        "def f():\n"
+        "    import numpy as np\n"
+        "    from hypothesis import given\n"
+    )
+    assert outside_imports(source) == ["hypothesis", "numpy", "scipy"]
+    assert outside_imports("import random\nfrom .oracles import _float\n") == []

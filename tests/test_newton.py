@@ -1,6 +1,7 @@
 """Newton polyhedron construction, covolume, intercepts, and the
 polyhedra of pairwise generator sums (Minkowski sums); the hull routines
-against the orthant double description, on generator masks."""
+against the orthant double description, on generator masks; the hull
+certificate of valid facet rows and a radial tiling."""
 
 import math
 import random
@@ -12,13 +13,19 @@ from hypothesis import strategies as st
 
 from lelong import newton
 from lelong.errors import InvalidInputError, NotPrimaryError
-from lelong.geometry import cone_point_member
+from lelong.geometry import cone_point_member, int_det
 from lelong.newton import NewtonPolyhedron, _bits, _dual_rays, _plane_rays, _pull
 from lelong.oracles import covolume_staircase_2d
 from lelong.rationals import exponent_set
 from lelong.weights import MonomialWeight
 
-from reference import orthant_dual_rays, polytope_volume, pull_every_side
+from reference import (
+    bareiss_det,
+    certify,
+    orthant_dual_rays,
+    polytope_volume,
+    pull_every_side,
+)
 from support import (
     ASTAR,
     random_ideal,
@@ -273,6 +280,63 @@ class TestAgainstReferences:
         facets = phi.polyhedron.compact_facets
         assert sum(len(f.vertex_indices) > n for f in facets) == non_simplicial
         assert_masses_match_polytope_volume(phi)
+
+
+class TestCertificate:
+    # The five benchmark vertex-rich sizes, then three grown ones.
+    @pytest.mark.parametrize(
+        "n, m", [(2, 32), (3, 5), (3, 6), (4, 3), (5, 2), (5, 6), (6, 5), (3, 30)]
+    )
+    def test_vertex_rich(self, n, m):
+        assert certify(NewtonPolyhedron(vertex_rich(n, m))) == []
+
+    def test_seeded_weights(self):
+        rng = random.Random(61)
+        for n in range(3, 7):
+            for _ in range(15):
+                assert certify(random_weight(rng, n, max_exp=16).polyhedron) == []
+
+    @staticmethod
+    def _mutable_polyhedra():
+        """Polyhedra with two or more compact facets, each with the first,
+        a middle and the last facet's index to mutate."""
+        rng = random.Random(62)
+        sets = [ASTAR, vertex_rich(3, 5), vertex_rich(4, 3), vertex_rich(5, 2)]
+        sets += [random_vertex_rich(rng, n, m) for n, m in VERTEX_RICH_DRAWS]
+        draws = [random_weight(rng, n, max_exp=16) for n in range(3, 7) for _ in range(6)]
+        sets += [phi.generators for phi in draws]
+        for gens in sets:
+            poly = NewtonPolyhedron(gens)
+            count = len(poly._facet_rows)
+            if count >= 2:
+                yield poly, sorted({0, count // 2, count - 1})
+
+    def test_rejects_a_dropped_facet(self):
+        for poly, indices in self._mutable_polyhedra():
+            rows, masks = poly._facet_rows, poly._facet_masks
+            for i in indices:
+                poly._facet_rows = rows[:i] + rows[i + 1 :]
+                poly._facet_masks = masks[:i] + masks[i + 1 :]
+                (fault,) = certify(poly)
+                assert "cover" in fault
+
+    def test_rejects_a_support_shifted_down(self):
+        for poly, indices in self._mutable_polyhedra():
+            rows = poly._facet_rows
+            for i in indices:
+                w, t = rows[i]
+                poly._facet_rows = rows[:i] + ((w, t - 1),) + rows[i + 1 :]
+                assert certify(poly) == [f"row {w, t - 1} is not tight on its mask"]
+
+    def test_own_determinant_equals_int_det(self):
+        rng = random.Random(63)
+        for _ in range(400):
+            n = rng.randint(1, 7)
+            rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+            if rng.random() < 0.5:
+                # A zero first pivot, so that a row swap must run.
+                rows[0][0] = 0
+            assert bareiss_det(rows) == int_det(rows)
 
 
 # Sizes of the random vertex-rich draws; the start cone and the pulling
