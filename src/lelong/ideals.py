@@ -10,10 +10,11 @@ set, whose integer points (lcm L = 1) are its int generators and whose
 record of unreached axes its pure-power check reads; the set's Fraction
 vectors are never built. Multiplicities are ints, checked by ``_as_int``
 on the weight's unreduced int aggregates. A primary ideal keeps its axis
-multiplicities once, as one int tuple checked on first use, which
-``axis_multiplicities``, ``containment_exponents`` and every containment
-report read; a report takes its exponents from ``containment_exponents``,
-so the rule ceil(p / e_k) is written once.
+multiplicities once, its weight's axis sums S_k over Q as one int tuple
+checked on first use, which ``axis_multiplicities``,
+``containment_exponents`` and every containment report read; a report
+takes its exponents from ``containment_exponents``, so the rule
+ceil(p / e_k) is written once.
 """
 
 from __future__ import annotations
@@ -74,10 +75,8 @@ class PrimaryMonomialIdeal(MonomialIdeal):
 
     @lazy
     def _axis_multiplicities(self) -> tuple[int, ...]:
-        # The axis probe e_k has the number w_k / h at the atom of the facet (w, h).
-        phi = self.weight
-        columns = zip(*(w for w, _ in phi.polyhedron._facet_rows))
-        return tuple(_as_int(*phi._aggregate_parts(c, 1), "mixed multiplicity") for c in columns)
+        common, sums = self.weight._axis_sums
+        return tuple([_as_int(s, common, "mixed multiplicity") for s in sums])
 
 
 def _require_primary(ideal, message):

@@ -32,6 +32,16 @@ in time linear in the points, where the double description tests every
 pair of positive and negative rays at each step. The double description
 serves n >= 3, and at n = 2 it is the reference that the chain is
 tested against.
+For n >= 3 the hull has a closed form (``NewtonPolyhedron._simplicial``)
+when every axis has a pure power and no integer point lies below the
+hyperplane (w, L) of the least ones (``_pure_power_ray``), as for the
+paper's simplicial weights max_k log|z_k|^(1/a_k): the start cone's rays
+are (e_k, 0), where a point's slack is p_k >= 0, and (w, L), so no point
+cuts it, and it is C, each ray tight on its points of slack 0, in order.
+Its vertices are the least pure powers, every other point lies on or
+above their simplex, and its one compact facet is (w, L). The check
+stops at the first point below, and such a set takes the double
+description.
 Both take the checked set and return each ray with its generator mask,
 whose bit j is set iff the ray is tight on p_j. The double description
 also needs the bits of the constraints w_k >= 0 and t >= 0 for its
@@ -99,6 +109,16 @@ def _bits(mask):
     return out
 
 
+def _pure_power_ray(gens):
+    """The ray (w, L) of the hyperplane <w, p> = L through the least pure
+    powers M_k e_k of the checked set ``gens``: L = lcm(M_k), and
+    w_k = L/M_k, or 0 on an axis without one."""
+    points = gens.points
+    powers = [0 if i is None else points[i][k] for k, i in enumerate(gens.pure_powers)]
+    scale = math.lcm(*[m for m in powers if m])
+    return (*[scale // m if m else 0 for m in powers], scale)
+
+
 def _dual_rays(gens):
     """Extreme rays of C for the integer ``points`` of the checked set
     ``gens``, as (ray, generator mask) pairs.
@@ -109,22 +129,21 @@ def _dual_rays(gens):
     test needs, bit k < n for w_k >= 0 and bit n for t >= 0, with points[j]
     at bit n + 1 + j. The return shifts the constraint bits out, as they
     follow from the ray: bit k is set iff w_k = 0, and bit n iff t = 0.
-    The kernel calls this for n >= 3; at n = 2 it is the reference for
-    ``_plane_rays``.
+    The kernel calls this for n >= 3 off the closed form; at n = 2 it is
+    the reference for ``_plane_rays``.
 
     The set's ``pure_powers`` give per axis k the index of the least pure
     power M_k e_k, or None. The method starts from the cone of those
     inequalities and of w >= 0, t >= 0, and inserts the other points in
     order of coordinate sum, ties in set order; each keeps its own bit.
     Point p enters as (p, -1), so its slack on a ray (w, t) is one dot
-    product <w, p> - t. With K the axes that have a pure power and L the lcm
-    of their M_k, that cone is simplicial: its rays are (e_k, 0) for every
-    k, tight on the pure powers of the other axes, and (L/M_K, 0, L),
-    which is 0 off K and tight on every pure power; with K empty it is
-    the orthant. The rays of C and their zero sets do not depend on the
-    order in which its inequalities are added, only the work on the way
-    does, so this start saves one insertion step per pure power and the
-    order is free to be chosen for speed.
+    product <w, p> - t. That cone is simplicial: its rays are (e_k, 0)
+    for every k, tight on the pure powers of the other axes, and
+    ``_pure_power_ray``, tight on every pure power. The rays of C and
+    their zero sets do not depend on the order in which its inequalities
+    are added, only the work on the way does, so this start saves one
+    insertion step per pure power and the order is free to be chosen for
+    speed.
 
     A positive and a negative ray make a new ray when they are adjacent
     (Fukuda & Prodon 1996): the inequalities tight on both have rank
@@ -140,11 +159,11 @@ def _dual_rays(gens):
     d = n + 1
     full = (1 << d) - 1
     zero = (0,) * d
-    # Per axis k, M_k and the zero-set bit of M_k e_k, or 0 and 0; off: the axes without one.
-    powers, pure, off = [0] * n, [0] * n, full >> 1
+    # Per axis k, the zero-set bit of M_k e_k, or 0; off: the axes without one.
+    pure, off = [0] * n, full >> 1
     for k, i in enumerate(pure_powers):
         if i is not None:
-            powers[k], pure[k] = points[i][k], 1 << (d + i)
+            pure[k] = 1 << (d + i)
             # Left set, bit k would repeat M_k e_k's bit on every ray and change
             # no output, but push rays over d bits: more pairs take the scan.
             off ^= 1 << k
@@ -152,8 +171,7 @@ def _dual_rays(gens):
     rays = [
         (zero[:k] + (1,) + zero[k + 1 :], (full ^ 1 << k) | (tight ^ pure[k])) for k in range(n)
     ]
-    scale = math.lcm(*[m for m in powers if m])
-    rays.append((tuple([scale // m if m else 0 for m in powers]) + (scale,), off | tight))
+    rays.append((_pure_power_ray(gens), off | tight))
     sums = list(map(sum, points))
     for j in sorted(range(len(points)), key=sums.__getitem__):
         if j in pure_powers:
@@ -275,10 +293,34 @@ class NewtonPolyhedron:
 
     def __init__(self, generators):
         gens = self.generators = exponent_set(generators)
-        self.dimension = len(gens.points[0])
-        self._rays = self._enumerate_facets()
-        self._vertex_ids = self._minimal_vertices()
-        self._facet_rows, self._facet_masks = self._compact_facets()
+        n = self.dimension = len(gens.points[0])
+        if n == 2 or None in gens.pure_powers or not self._simplicial():
+            self._rays = self._enumerate_facets()
+            self._vertex_ids = self._minimal_vertices()
+            self._facet_rows, self._facet_masks = self._compact_facets()
+
+    def _simplicial(self):
+        """Return False at the first integer point below the hyperplane
+        of the least pure powers; else set the closed form's rays,
+        vertices and facet row, and return True."""
+        gens, n = self.generators, self.dimension
+        points, pure = gens.points, gens.pure_powers
+        ray = _pure_power_ray(gens)
+        w, scale = ray[:-1], ray[-1]
+        on = 0
+        for j, p in enumerate(points):
+            s = sum(map(mul, w, p))
+            if s < scale:
+                return False
+            if s == scale:
+                on |= 1 << j
+        self._rays = [
+            ((0,) * k + (1,) + (0,) * (n - k), sum(1 << j for j, p in enumerate(points) if not p[k]))
+            for k in range(n)
+        ] + [(ray, on)]
+        self._vertex_ids = tuple(sorted(pure))
+        self._facet_rows, self._facet_masks = ((w, scale),), (sum(1 << i for i in pure),)
+        return True
 
     def _enumerate_facets(self):
         """Every extreme ray of C as (ray, mask of the generators it is tight on)."""

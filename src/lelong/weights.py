@@ -38,7 +38,9 @@ ratios mass/h to integers c over their least common denominator Q,
 computed in ints from the cone totals and the unreduced supports t/L,
 so each aggregate is one integer sum S over Q L (``_aggregate_parts``),
 and divided by the residual mass tau it is S tau.den over Q L tau.num;
-the axis aggregates are those of the probes e_k.
+the axis aggregates, those of the probes e_k, are kept once per weight
+as int sums over Q, which the extremal direction and an ideal's axis
+multiplicities read.
 """
 
 from __future__ import annotations
@@ -215,6 +217,15 @@ class MonomialWeight(HomogeneousPsh):
         g = math.gcd(common, *coefficients)
         return common // g, tuple(c // g for c in coefficients)
 
+    @lazy
+    def _axis_sums(self) -> tuple[int, tuple[int, ...]]:
+        """The axis aggregates over Q, as (Q, S): S_k = sum c w_k over the
+        atoms' coefficients c and rows (w, t), the aggregate of the probe
+        e_k over Q, whose least value at the facet (w, t) is w_k."""
+        common, coefficients = self._mass_over_support
+        columns = zip(*(w for w, _ in self.polyhedron._facet_rows))
+        return common, tuple([sum(map(mul, coefficients, column)) for column in columns])
+
     def _aggregate_parts(self, least, scale) -> tuple[int, int]:
         """Sum over atoms of mass * least / (scale * h), for per-atom
         integers ``least`` in atom order, as the unreduced int pair
@@ -222,8 +233,7 @@ class MonomialWeight(HomogeneousPsh):
 
         A psh u with integer points P_j = L b_j has the number
         min_j <P_j, w> / (L h) at the atom of the facet (w, h), so its
-        aggregate is this with least = u._least_on(self) and scale = L;
-        the axis probe e_k has least = the w_k of the rows and scale = 1.
+        aggregate is this with least = u._least_on(self) and scale = L.
         """
         common, coefficients = self._mass_over_support
         return sum(map(mul, coefficients, least)), common * scale
@@ -237,11 +247,16 @@ class MonomialWeight(HomogeneousPsh):
 
     def extremal_direction(self) -> "DirectionalWeight":
         """The barycenter a of the normalized measure: a_k is the axis
-        aggregate over the residual mass. The simplicial weight it
-        defines is the extremal upper-envelope singularity."""
+        aggregate S_k / Q over the residual mass tau, S_k tau.den over
+        Q tau.num. The simplicial weight it defines is the extremal
+        upper-envelope singularity; a is positive, so it is built without
+        the checks of the public constructor."""
         tau = self.residual_mass()
-        columns = zip(*(w for w, _ in self.polyhedron._facet_rows))
-        return DirectionalWeight(tuple(self._aggregate(column, 1, tau) for column in columns))
+        common, sums = self._axis_sums
+        common *= tau.numerator
+        weight = DirectionalWeight.__new__(DirectionalWeight)
+        weight._build(tuple([Fraction(s * tau.denominator, common) for s in sums]))
+        return weight
 
     def is_flat(self) -> bool:
         """True iff the polyhedron has a single compact facet, i.e. the
@@ -278,20 +293,25 @@ class DirectionalWeight(MonomialWeight):
 
     Its polyhedron has the single compact facet through the points
     e_k / a_k, the measure is one atom at -a with mass 1/(a_1...a_n),
-    and the weight is flat.
+    and the weight is flat. The polyhedron takes the hull's closed form
+    (``lelong.newton``): no point lies below that facet's hyperplane.
     """
 
     def __init__(self, direction):
-        d = self.direction = positive_direction(direction)
+        self._build(positive_direction(direction))
+
+    def _build(self, d):
+        # d is positive, so the set is primary and MonomialWeight's checks
+        # are skipped. For a_k = p_k/q_k the lcm of the denominators of the
+        # q_k/p_k is L = lcm(p_k), and the integer points are (L/p_k) q_k e_k.
+        self.direction = d
         n = len(d)
-        # For a_k = p_k/q_k the lcm of the denominators of the q_k/p_k is
-        # L = lcm(p_k), and the integer points are (L/p_k) q_k e_k.
         scale = math.lcm(*(a.numerator for a in d))
         points = [
             tuple(scale // a.numerator * a.denominator if i == k else 0 for i in range(n))
             for k, a in enumerate(d)
         ]
-        super().__init__(_ExponentSet(scale, points))
+        HomogeneousPsh.__init__(self, _ExponentSet(scale, points))
 
 
 def _check_pair(u: HomogeneousPsh, phi: MonomialWeight):

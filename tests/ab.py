@@ -56,11 +56,19 @@ def timed_pass(workload, specs):
     return perf_counter() - start
 
 
+def rounds(text):
+    """A round count: an int of at least 2, as the quartiles need two ratios."""
+    count = int(text)
+    if count < 2:
+        raise argparse.ArgumentTypeError(f"at least 2 rounds are needed, got {count}")
+    return count
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("base", type=Path, help="root of the base checkout")
     parser.add_argument("--workload", default="random_mix")
-    parser.add_argument("--rounds", type=int, default=20)
+    parser.add_argument("--rounds", type=rounds, default=20)
     args = parser.parse_args()
     base_src = args.base.resolve() / "src" / "lelong"
     if not (base_src / "__init__.py").is_file():
@@ -68,8 +76,10 @@ def main():
 
     sys.dont_write_bytecode = True
     sys.path.insert(0, str(ROOT / "src"))
-    load("lelong_base", base_src)
     workloads = load("ab_workloads", ROOT / "perfbench" / "workloads.py")
+    if args.workload not in workloads.WORKLOADS:
+        parser.error(f"unknown workload {args.workload!r}; one of {sorted(workloads.WORKLOADS)}")
+    load("lelong_base", base_src)
     workload = workloads.WORKLOADS[args.workload](1)
     try:
         head = dict(workload.mods)

@@ -1,7 +1,8 @@
 """Newton polyhedron construction, covolume, intercepts, and the
 polyhedra of pairwise generator sums (Minkowski sums); the hull routines
-against the orthant double description, on generator masks; the hull
-certificate of valid facet rows and a radial tiling."""
+against the orthant double description, on generator masks; the closed
+form of simplicial sets against the general path; the hull certificate
+of valid facet rows and a radial tiling."""
 
 import math
 import random
@@ -17,7 +18,7 @@ from lelong.geometry import cone_point_member, int_det
 from lelong.newton import NewtonPolyhedron, _bits, _dual_rays, _plane_rays, _pull
 from lelong.oracles import covolume_staircase_2d
 from lelong.rationals import exponent_set
-from lelong.weights import MonomialWeight
+from lelong.weights import DirectionalWeight, MonomialWeight
 
 from reference import (
     bareiss_det,
@@ -28,6 +29,7 @@ from reference import (
 )
 from support import (
     ASTAR,
+    random_direction,
     random_ideal,
     random_primary_ideal,
     random_psh,
@@ -245,9 +247,22 @@ class TestAgainstReferences:
         # simplicial); each weight again with the midpoint of two vertices
         # of a compact facet added, a non-vertex on the boundary; and psh
         # sets with unreached axes, whose polyhedra have unbounded faces.
+        # Three random vertex-rich weights per n = 3..6, drawn apart, keep
+        # the double description in the draws: most others are simplicial
+        # and take the closed form.
         rng = random.Random(31)
         weights = [random_weight(rng, n, max_exp=9) for n in (2, 3, 4, 5) for _ in range(8)]
         weights += [random_weight(rng, 6, max_exp=16) for _ in range(8)]
+        rich = random.Random(32)
+        weights += [
+            MonomialWeight(random_vertex_rich(rich, n, m))
+            for n, m in SMALL_VERTEX_RICH
+            for _ in range(3)
+        ]
+        multi_facet = {n: 0 for n in range(3, 7)}
+        for phi in weights[8:]:
+            multi_facet[phi.dimension] += len(phi.polyhedron._facet_rows) > 1
+        assert min(multi_facet.values()) >= 3, multi_facet
         for phi in list(weights):
             a, b = phi.polyhedron.facet_points(phi.polyhedron.compact_facets[0])[:2]
             midpoint = tuple((x + y) / 2 for x, y in zip(a, b))
@@ -291,10 +306,16 @@ class TestCertificate:
         assert certify(NewtonPolyhedron(vertex_rich(n, m))) == []
 
     def test_seeded_weights(self):
-        rng = random.Random(61)
-        for n in range(3, 7):
-            for _ in range(15):
-                assert certify(random_weight(rng, n, max_exp=16).polyhedron) == []
+        # Most random weights take the closed form; three random
+        # vertex-rich sets per n, drawn apart, keep the double description
+        # in at least five draws at each n.
+        rng, rich = random.Random(61), random.Random(64)
+        for n, m in SMALL_VERTEX_RICH:
+            polys = [random_weight(rng, n, max_exp=16).polyhedron for _ in range(15)]
+            polys += [NewtonPolyhedron(random_vertex_rich(rich, n, m)) for _ in range(3)]
+            assert sum(len(poly._facet_rows) > 1 for poly in polys) >= 5
+            for poly in polys:
+                assert certify(poly) == []
 
     @staticmethod
     def _mutable_polyhedra():
@@ -342,6 +363,9 @@ class TestCertificate:
 # Sizes of the random vertex-rich draws; the start cone and the pulling
 # tests take 12 of each.
 VERTEX_RICH_DRAWS = [(4, 6), (5, 5), (6, 4)]
+
+# Per n = 3..6, a small vertex-rich size, for random thirds of it.
+SMALL_VERTEX_RICH = [(3, 4), (4, 3), (5, 2), (6, 2)]
 
 
 def _plane_sets(rng):
@@ -511,7 +535,167 @@ class TestPlaneRays:
         monkeypatch.setattr(newton, "_dual_rays", refuse)
         assert NewtonPolyhedron(ASTAR).covolume() == 3
         with pytest.raises(RuntimeError, match="double description"):
-            NewtonPolyhedron([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+            NewtonPolyhedron([(3, 0, 0), (0, 3, 0), (0, 0, 3), (1, 1, 0)])
+
+
+def _general_path(gens):
+    """The polyhedron of the checked set ``gens`` with its rays, vertices
+    and facet rows taken by calling ``_dual_rays``, ``_minimal_vertices``
+    and ``_compact_facets`` directly, whatever the set."""
+    poly = NewtonPolyhedron.__new__(NewtonPolyhedron)
+    poly.generators, poly.dimension = gens, len(gens.points[0])
+    poly._rays = _dual_rays(gens)
+    poly._vertex_ids = poly._minimal_vertices()
+    poly._facet_rows, poly._facet_masks = poly._compact_facets()
+    return poly
+
+
+def _below_the_pure_powers(gens):
+    """Whether a vector v of the checked set ``gens``, every axis reached,
+    has sum_k v_k / M_k < 1 for the least pure powers M_k e_k, taken by
+    definition: whether it lies below their hyperplane."""
+    powers = [gens[i][k] for k, i in enumerate(_least_pure_powers(gens.points))]
+    return any(sum(map(Fraction.__truediv__, v, powers)) < 1 for v in gens)
+
+
+def _on_the_hyperplane(rng, n):
+    """Pure powers M_k e_k with q | M_k, and one to four points
+    sum_k (c_k / q) M_k e_k of their simplex, c >= 0 summing to q, each
+    with two or more c_k > 0: on the hyperplane, and none a vertex."""
+    q = rng.choice((2, 3, 4))
+    powers = [q * rng.randint(1, 4) for _ in range(n)]
+    gens = [unit(n, k, m) for k, m in enumerate(powers)]
+    while len(gens) == n or rng.random() < 0.6 and len(gens) < n + 4:
+        c = [0] * n
+        for _ in range(q):
+            c[rng.randrange(n)] += 1
+        if max(c) < q:
+            gens.append(tuple(ck * m // q for ck, m in zip(c, powers)))
+    return gens
+
+
+def _closed_form_sets():
+    """Seeded (family, checked set) pairs at n = 3..6: weights at max_exp
+    6, 12 and 16, primary ideals, directional weights, pure powers with
+    non-vertex points on their hyperplane, each of those scaled by 1/s
+    (L > 1) and with every coordinate over its own denominator; and the
+    points on the hyperplane with one of them moved just below it, by 1
+    off a positive coordinate, which must take the general path."""
+    rng = random.Random(71)
+    for n in range(3, 7):
+        for _ in range(50):
+            families = {
+                "weight 6": random_weight(rng, n, max_exp=6).generators,
+                "weight 12": random_weight(rng, n).generators,
+                "weight 16": random_weight(rng, n, max_exp=16).generators,
+                "ideal": random_primary_ideal(rng, n).weight.generators,
+                "directional": DirectionalWeight(random_direction(rng, n)).generators,
+                "on the hyperplane": exponent_set(_on_the_hyperplane(rng, n)),
+            }
+            s = rng.randint(2, 6)
+            families["scaled"] = exponent_set(
+                tuple(Fraction(c, s) for c in g) for g in families["on the hyperplane"]
+            )
+            families["rational"] = exponent_set(
+                tuple(Fraction(c, rng.randint(1, 6)) for c in g) for g in families["weight 12"]
+            )
+            yield from families.items()
+            # Moved so that it stays off the axes, or it would be a new
+            # least pure power with a hyperplane of its own.
+            gens = list(families["on the hyperplane"].points)
+            moves = [
+                (j, k)
+                for j, g in enumerate(gens)
+                for k, c in enumerate(g)
+                if c > 1 and g.count(0) < n - 1 or c == 1 and g.count(0) < n - 2
+            ]
+            if moves:
+                j, k = rng.choice(moves)
+                gens[j] = tuple(c - (i == k) for i, c in enumerate(gens[j]))
+                yield "just below", exponent_set(gens)
+
+
+class TestClosedForm:
+    ATTRIBUTES = (
+        "_rays",
+        "_vertex_ids",
+        "_facet_rows",
+        "_facet_masks",
+        "_facet_cone_volumes",
+        "compact_facets",
+        "vertices",
+    )
+
+    def test_equals_the_general_path(self, monkeypatch):
+        # The closed form is taken exactly when no vector lies below the
+        # hyperplane of the least pure powers, and then every attribute,
+        # the rays in order, equals the general path's; the polyhedron is
+        # certified. A set with a point below runs the double description.
+        ran = []
+        monkeypatch.setattr(newton, "_dual_rays", lambda gens: ran.append(gens) or _dual_rays(gens))
+        closed = {}
+        for family, gens in _closed_form_sets():
+            ran.clear()
+            poly = NewtonPolyhedron(gens)
+            below = _below_the_pure_powers(gens)
+            assert ran == ([gens] if below else [])
+            if family == "just below":
+                assert below
+            elif family in ("directional", "on the hyperplane", "scaled"):
+                assert not below
+            general = _general_path(gens)
+            for name in self.ATTRIBUTES:
+                assert getattr(poly, name) == getattr(general, name), name
+            if not below:
+                assert len(poly._facet_rows) == 1 and certify(poly) == []
+            key = family, len(gens.points[0])
+            closed[key] = closed.get(key, 0) + (not below)
+        for (family, n), count in closed.items():
+            if family == "just below":
+                assert count == 0
+            elif family != "rational":
+                assert count >= 2, (family, n, count)
+        assert sum(closed.values()) >= 1200
+
+    @pytest.mark.parametrize("n", range(3, 7))
+    def test_an_unreached_axis_takes_the_general_path(self, n, monkeypatch):
+        # No point lies below the hyperplane of the pure powers that there
+        # are, but the last axis has none, so the polyhedron has unbounded
+        # faces and the double description runs.
+        ran = []
+        monkeypatch.setattr(newton, "_dual_rays", lambda gens: ran.append(gens) or _dual_rays(gens))
+        rng = random.Random(90 + n)
+        for _ in range(10):
+            gens = [unit(n, k, rng.randint(1, 6)) for k in range(n - 1)]
+            gens += [tuple(c + rng.randint(0, 2) for c in g[:-1]) + (rng.randint(1, 4),) for g in gens]
+            gens = exponent_set(gens)
+            assert gens.unreached == (n - 1,)
+            poly = NewtonPolyhedron(gens)
+            assert ran.pop() is gens
+            general = _general_path(gens)
+            for name in ("_rays", "_vertex_ids", "_facet_rows", "_facet_masks"):
+                assert getattr(poly, name) == getattr(general, name), name
+
+    @pytest.mark.parametrize("n", range(3, 7))
+    def test_simplicial_sets_skip_the_three_passes(self, n, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a pass of the general path ran")
+
+        monkeypatch.setattr(newton, "_dual_rays", refuse)
+        monkeypatch.setattr(NewtonPolyhedron, "_minimal_vertices", refuse)
+        monkeypatch.setattr(NewtonPolyhedron, "_compact_facets", refuse)
+        rng = random.Random(80 + n)
+        for _ in range(10):
+            # The measure of e_k / a_k is one atom at -a of mass 1/(a_1...a_n).
+            a = random_direction(rng, n)
+            phi = DirectionalWeight(a)
+            (atom,) = phi.lelong_measure().atoms
+            assert atom == (tuple(-c for c in a), 1 / math.prod(a))
+            assert phi.extremal_direction().direction == a
+            gens = _on_the_hyperplane(rng, n)
+            poly = NewtonPolyhedron(gens)
+            assert len(poly.vertices) == n < len(gens)
+            assert poly.covolume() == Fraction(math.prod(map(max, gens[:n])), math.factorial(n))
 
 
 @st.composite
@@ -525,9 +709,31 @@ def integer_weights(draw, max_exp=7):
     return gens
 
 
+@st.composite
+def simplicial_weights(draw, max_exp=4):
+    """Generators that take the closed form at n = 3..6: pure powers
+    q m_k e_k, and points of their simplex sum_k (c_k / q) q m_k e_k,
+    c >= 0 summing to q, each plus a small nonnegative vector, so on or
+    above the hyperplane of the pure powers."""
+    n = draw(st.integers(3, 6))
+    q = draw(st.integers(1, 3))
+    powers = [q * draw(st.integers(1, max_exp)) for _ in range(n)]
+    gens = [unit(n, k, m) for k, m in enumerate(powers)]
+    for _ in range(draw(st.integers(0, 4))):
+        cut = sorted(draw(st.lists(st.integers(0, q), min_size=n - 1, max_size=n - 1)))
+        c = [b - a for a, b in zip([0, *cut], [*cut, q])]
+        up = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+        gens.append(tuple(ck * m // q + u for ck, m, u in zip(c, powers, up)))
+    return gens
+
+
+# Both sources: weights with a few uniform extras, and the closed form.
+WEIGHT_SETS = st.one_of(integer_weights(), simplicial_weights())
+
+
 class TestProperties:
     @settings(max_examples=40, deadline=None)
-    @given(integer_weights(), st.randoms(use_true_random=False))
+    @given(WEIGHT_SETS, st.randoms(use_true_random=False))
     def test_permuting_coordinates_permutes_vertices_and_atoms(self, gens, rng):
         n = len(gens[0])
         perm = list(range(n))
@@ -543,7 +749,7 @@ class TestProperties:
         assert sorted((a.vertex, a.mass) for a in moved.lelong_measure().atoms) == atoms
 
     @settings(max_examples=50, deadline=None)
-    @given(integer_weights(), st.data())
+    @given(WEIGHT_SETS, st.data())
     def test_monotone_under_generators(self, gens, data):
         # Adding a generator can only enlarge the polyhedron.
         n = len(gens[0])
@@ -552,15 +758,24 @@ class TestProperties:
         assert bigger.covolume() <= NewtonPolyhedron(gens).covolume()
 
     @settings(max_examples=40, deadline=None)
-    @given(integer_weights(), st.integers(1, 5), st.integers(1, 4))
+    @given(WEIGHT_SETS, st.integers(1, 5), st.integers(1, 4))
     def test_covolume_homogeneous(self, gens, num, den):
         k = Fraction(num, den)
         n = len(gens[0])
         scaled = NewtonPolyhedron([tuple(k * c for c in g) for g in gens])
         assert scaled.covolume() == k**n * NewtonPolyhedron(gens).covolume()
 
+    @settings(max_examples=60, deadline=None)
+    @given(WEIGHT_SETS)
+    def test_the_hull_equals_the_general_path(self, gens):
+        gens = exponent_set(gens)
+        if len(gens.points[0]) > 2:
+            poly, general = NewtonPolyhedron(gens), _general_path(gens)
+            for name in TestClosedForm.ATTRIBUTES:
+                assert getattr(poly, name) == getattr(general, name), name
+
     @settings(max_examples=40, deadline=None)
-    @given(integer_weights())
+    @given(WEIGHT_SETS)
     def test_integer_generators_give_integer_masses(self, gens):
         for atom in MonomialWeight(gens).lelong_measure().atoms:
             assert atom.mass.denominator == 1

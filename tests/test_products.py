@@ -67,12 +67,19 @@ def _assert_product_identity(factors):
 
 @pytest.mark.parametrize("dims", FACTOR_DIMENSIONS, ids=str)
 def test_seeded_joins(dims):
+    # A flat weight takes the hull's closed form, so the floors keep the
+    # double description in the draws: eight non-flat joins, at n = 4..6,
+    # and five non-flat factors of each dimension 3 or 4.
     rng = random.Random(600 + sum(d * 10**k for k, d in enumerate(dims)))
     nonflat = 0
+    solid = {d: 0 for d in dims if d > 2}
     for _ in range(24):
         factors = [random_weight(rng, d, max_exp=16) for d in dims]
         nonflat += not _assert_product_identity(factors).is_flat()
-    assert nonflat
+        for f in factors:
+            if f.dimension > 2:
+                solid[f.dimension] += not f.is_flat()
+    assert nonflat >= 8 and all(count >= 5 for count in solid.values()), (nonflat, solid)
 
 
 @pytest.mark.parametrize("m, facets", [(4, 64), (6, 216), (8, 512)])

@@ -39,11 +39,15 @@ from support import (
     random_ideal,
     random_primary_ideal,
     random_psh,
+    random_vertex_rich,
     random_weight,
     vertex_rich,
 )
 
 VERTEX_RICH_SIZES = [(2, 32), (3, 5), (3, 6), (4, 3), (5, 2), (5, 6)]
+
+# Per n = 3..6, a small vertex-rich size m, for random thirds of it.
+SMALL_VERTEX_RICH = {3: 4, 4: 3, 5: 2, 6: 2}
 
 
 def _assert_same_fraction(got, want):
@@ -125,6 +129,16 @@ def test_weight_queries_equal_the_fraction_code(n):
             probes = _probes(rng, n)
             tally.add(phi, probes)
             _assert_weight_parity(phi, probes)
+    # Most draws above take the closed form; two random vertex-rich
+    # weights, drawn apart, keep the double description in six or more.
+    if n > 2:
+        rich = random.Random(510 + n)
+        for _ in range(2):
+            phi = MonomialWeight(random_vertex_rich(rich, n, SMALL_VERTEX_RICH[n]))
+            probes = _probes(rng, n)
+            tally.add(phi, probes)
+            _assert_weight_parity(phi, probes)
+        assert tally.nonflat >= 6, tally.nonflat
     assert tally.nonflat and tally.unreached and tally.rational and tally.tau_den
 
 
