@@ -34,14 +34,24 @@ serves n >= 3, and at n = 2 it is the reference that the chain is
 tested against.
 For n >= 3 the hull has a closed form (``NewtonPolyhedron._simplicial``)
 when every axis has a pure power and no integer point lies below the
-hyperplane (w, L) of the least ones (``_pure_power_ray``), as for the
-paper's simplicial weights max_k log|z_k|^(1/a_k): the start cone's rays
-are (e_k, 0), where a point's slack is p_k >= 0, and (w, L), so no point
-cuts it, and it is C, each ray tight on its points of slack 0, in order.
-Its vertices are the least pure powers, every other point lies on or
-above their simplex, and its one compact facet is (w, L). The check
-stops at the first point below, and such a set takes the double
-description.
+hyperplane (w, L) of the least ones (the set's ``pure_power_plane``,
+derived once per set and read by the check and by the double
+description's start cone alike), as for the paper's simplicial weights
+max_k log|z_k|^(1/a_k): the start cone's rays are (e_k, 0), where a
+point's slack is p_k >= 0, and (w, L), so no point cuts it, and it is C,
+each ray tight on its points of slack 0, in order. Its vertices are the
+least pure powers, every other point lies on or above their simplex, and
+its one compact facet is (w, L). The check stops at the first point
+below, and such a set takes the double description. The check sets the
+vertices and the facet row only; nothing in the package reads the rays
+of a closed form, so ``_rays`` builds them on its first read.
+A polyhedron with every axis reached and exactly one compact facet, the
+closed form or a plane set with one edge, has the cone volume
+L^n n! vol = prod_k M_k without a triangulation: each least pure power
+M_k e_k is a vertex, and the one compact facet holds every vertex, so
+its hyperplane passes through those powers; its points are nonnegative,
+so they lie in the simplex of the powers, which the facet contains. The
+facet is that simplex, whose cone has |det diag(M_k)| = prod_k M_k.
 Both take the checked set and return each ray with its generator mask,
 whose bit j is set iff the ray is tight on p_j. The double description
 also needs the bits of the constraints w_k >= 0 and t >= 0 for its
@@ -109,16 +119,6 @@ def _bits(mask):
     return out
 
 
-def _pure_power_ray(gens):
-    """The ray (w, L) of the hyperplane <w, p> = L through the least pure
-    powers M_k e_k of the checked set ``gens``: L = lcm(M_k), and
-    w_k = L/M_k, or 0 on an axis without one."""
-    points = gens.points
-    powers = [0 if i is None else points[i][k] for k, i in enumerate(gens.pure_powers)]
-    scale = math.lcm(*[m for m in powers if m])
-    return (*[scale // m if m else 0 for m in powers], scale)
-
-
 def _dual_rays(gens):
     """Extreme rays of C for the integer ``points`` of the checked set
     ``gens``, as (ray, generator mask) pairs.
@@ -138,8 +138,8 @@ def _dual_rays(gens):
     order of coordinate sum, ties in set order; each keeps its own bit.
     Point p enters as (p, -1), so its slack on a ray (w, t) is one dot
     product <w, p> - t. That cone is simplicial: its rays are (e_k, 0)
-    for every k, tight on the pure powers of the other axes, and
-    ``_pure_power_ray``, tight on every pure power. The rays of C and
+    for every k, tight on the pure powers of the other axes, and the set's
+    ``pure_power_plane`` (w, L), tight on every pure power. The rays of C and
     their zero sets do not depend on the order in which its inequalities
     are added, only the work on the way does, so this start saves one
     insertion step per pure power and the order is free to be chosen for
@@ -171,7 +171,7 @@ def _dual_rays(gens):
     rays = [
         (zero[:k] + (1,) + zero[k + 1 :], (full ^ 1 << k) | (tight ^ pure[k])) for k in range(n)
     ]
-    rays.append((_pure_power_ray(gens), off | tight))
+    rays.append((gens.pure_power_plane, off | tight))
     sums = list(map(sum, points))
     for j in sorted(range(len(points)), key=sums.__getitem__):
         if j in pure_powers:
@@ -301,26 +301,37 @@ class NewtonPolyhedron:
 
     def _simplicial(self):
         """Return False at the first integer point below the hyperplane
-        of the least pure powers; else set the closed form's rays,
-        vertices and facet row, and return True."""
-        gens, n = self.generators, self.dimension
-        points, pure = gens.points, gens.pure_powers
-        ray = _pure_power_ray(gens)
+        (w, L) of the least pure powers; else set the closed form's
+        vertices, those powers, and its one facet row (w, L) with their
+        mask, and return True. The rays are left to ``_rays``."""
+        gens = self.generators
+        pure = gens.pure_powers
+        ray = gens.pure_power_plane
         w, scale = ray[:-1], ray[-1]
-        on = 0
-        for j, p in enumerate(points):
-            s = sum(map(mul, w, p))
-            if s < scale:
+        for p in gens.points:
+            if sum(map(mul, w, p)) < scale:
                 return False
-            if s == scale:
-                on |= 1 << j
-        self._rays = [
-            ((0,) * k + (1,) + (0,) * (n - k), sum(1 << j for j, p in enumerate(points) if not p[k]))
-            for k in range(n)
-        ] + [(ray, on)]
         self._vertex_ids = tuple(sorted(pure))
         self._facet_rows, self._facet_masks = ((w, scale),), (sum(1 << i for i in pure),)
         return True
+
+    @lazy
+    def _rays(self):
+        """The closed form's rays, built on first read, as nothing in the
+        package reads them: (e_k, 0) for each k, tight on the points with
+        p_k = 0, then (w, L), tight on the points of its hyperplane, in the
+        order of the double description's start cone. The other paths set
+        ``_rays`` when they build the polyhedron, so only a closed form
+        runs this."""
+        gens, n = self.generators, self.dimension
+        points, ray = gens.points, gens.pure_power_plane
+        w, scale = ray[:-1], ray[-1]
+        rays = [
+            ((0,) * k + (1,) + (0,) * (n - k), sum(1 << j for j, p in enumerate(points) if not p[k]))
+            for k in range(n)
+        ]
+        rays.append((ray, sum(1 << j for j, p in enumerate(points) if sum(map(mul, w, p)) == scale)))
+        return rays
 
     def _enumerate_facets(self):
         """Every extreme ray of C as (ray, mask of the generators it is tight on)."""
@@ -387,10 +398,18 @@ class NewtonPolyhedron:
         """Per compact facet, the int L^n n! times the volume of the cone
         over it: the sum of |int_det| over the simplices of its
         triangulation on the integer points. A face's mask holds vertices
-        only, so a ray's mask cuts it as its vertex part would."""
+        only, so a ray's mask cuts it as its vertex part would.
+
+        With every axis reached and one compact facet, that facet is the
+        simplex of the least pure powers M_k e_k (module docstring), and
+        the one volume is their product, without the triangulation or
+        the rays: the closed form and the plane sets with one edge."""
+        gens = self.generators
+        points, pure = gens.points, gens.pure_powers
+        if len(self._facet_masks) == 1 and None not in pure:
+            return (math.prod([points[i][k] for k, i in enumerate(pure)]),)
         n = self.dimension
         cuts = [tight for _, tight in self._rays]
-        points = self.generators.points
         volumes = []
         for face in self._facet_masks:
             total = 0

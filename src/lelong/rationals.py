@@ -11,16 +11,17 @@ input and returns the set as a private read-only sequence; handed back
 in, that set is returned as is, so objects derived from it (polyhedra,
 weights of ideals, the psh of an ideal) run on the trusted set without
 parsing it again. A list or tuple of ints is checked as ints and is its
-own integer point; any other vector goes through ``exponent_vector``
-and ``parse_rational``, which raise every error. The checked set holds
-ints: the lcm L of the denominators and the integer points L*v, from
-which it derives, once per set, the record of the least pure power on
-each axis, the unreached axes and the intercepts. Its Fraction vectors
-are built on the first read that needs them, which the kernel and the
-queries never make, so a set of int tuples builds no Fraction. The set
-dedupes and sorts its integer points itself, so ``exponent_set`` only
-checks and scales, and a caller that has the integer points and their
-lcm already, as ``DirectionalWeight`` does, builds the set directly.
+own integer point; any other vector goes through ``exponent_vector`` and
+``parse_rational``, which raise every error. The checked set holds ints:
+the lcm L of the denominators and the integer points L*v, from which it
+derives, once per set, the record of the least pure power on each axis,
+the hyperplane through those powers, the unreached axes and the
+intercepts. Its Fraction vectors are built on the first read that needs
+them, which the kernel and the queries never make, so a set of int
+tuples builds no Fraction. The set dedupes and sorts its integer points
+itself, so ``exponent_set`` only checks and scales, and a caller that
+has the integer points and their lcm already, as ``DirectionalWeight``
+does, builds the set directly.
 
 Every derived value of the package that is computed on first use is
 declared with the one descriptor ``lazy``, defined here because every
@@ -150,8 +151,8 @@ class _ExponentSet(Sequence):
     built from ints that the caller vouches for: ``scale``, the lcm L of
     the denominators, and ``points``, the integer points L*v, which it
     dedupes and sorts itself (the zero vector first, when it is one);
-    ``pure_powers``, ``unreached`` and ``intercepts`` are derived once,
-    on first use.
+    ``pure_powers``, ``pure_power_plane``, ``unreached`` and
+    ``intercepts`` are derived once, on first use.
 
     Read as a sequence it is the tuple of its Fraction vectors v = P/L,
     which are built once, on the first read that needs them: indexing,
@@ -211,6 +212,19 @@ class _ExponentSet(Sequence):
                 if least[k] is None:
                     least[k] = i
         return tuple(least)
+
+    @lazy
+    def pure_power_plane(self):
+        """The int row (w, m) of the hyperplane <w, P> = m through the
+        least pure powers M_k e_k of the integer points: m = lcm(M_k) and
+        w_k = m/M_k, or 0 on an axis without one. The Newton polyhedron
+        reads it as the ray (w, m) of its cone of valid inequalities, both
+        in its closed-form check and in its double description's start
+        cone, so it is derived once per set."""
+        points = self.points
+        powers = [0 if i is None else points[i][k] for k, i in enumerate(self.pure_powers)]
+        top = math.lcm(*[m for m in powers if m])
+        return (*[top // m if m else 0 for m in powers], top)
 
     @lazy
     def unreached(self):

@@ -19,9 +19,13 @@ and the polyhedron, the extremal direction's weight and the aggregates
 run on the checked set: the pure-power check reads the set's unreached
 axes, the Lojasiewicz exponent its pure-power record and the aggregates
 its integer points, so none is derived again and the set's Fraction
-vectors are never built. The measure layer reads the polyhedron's int
-rows (w, t), normal w and support h = t/L, and never its Facet records.
-The work is integer throughout, and each returned value is one
+vectors are never built. A DirectionalWeight, the extremal direction's
+among them, builds its set from its direction on the first read of
+``generators``, so a caller that reads only ``direction`` builds none;
+its polyhedron takes the hull's closed form, whose one cone volume is
+the product of the pure powers. The measure layer reads the polyhedron's
+int rows (w, t), normal w and support h = t/L, and never its Facet
+records. The work is integer throughout, and each returned value is one
 Fraction, with none built before it and one per distinct value: each
 atom's vertex coordinate -w_k/h = -w_k L/t is built from the ints
 without a division, once per distinct (w_k, t), and each mass once per
@@ -29,18 +33,17 @@ distinct cone total; the atoms that share a value share the Fraction.
 Each pairing with the measure is written once and computed once per
 (psh, weight): a psh keeps its least values on the last weight's facet
 normals, so the aggregate, the normalized aggregate, the type and the
-mixed multiplicity of one pair share them. A psh's least value
-min_j <P_j, a> over its integer points P_j = L b_j, over L, is its
-directional number at a; with a = w and over L h, it is the psh's number
-at the atom of the facet (w, h), and the type is the least of those
-numbers, compared cross-multiplied. The aggregate brings the atoms'
-ratios mass/h to integers c over their least common denominator Q,
-computed in ints from the cone totals and the unreduced supports t/L,
-so each aggregate is one integer sum S over Q L (``_aggregate_parts``),
-and divided by the residual mass tau it is S tau.den over Q L tau.num;
-the axis aggregates, those of the probes e_k, are kept once per weight
-as int sums over Q, which the extremal direction and an ideal's axis
-multiplicities read.
+mixed multiplicity of one pair share them. A psh's least value min_j
+<P_j, a> over its integer points P_j = L b_j, over L, is its directional
+number at a; with a = w and over L h, it is the psh's number at the atom
+of the facet (w, h), and the type is the least of those numbers,
+compared cross-multiplied. The aggregate brings the atoms' ratios mass/h
+to integers c over their least common denominator Q, computed in ints
+from the cone totals and the unreduced supports t/L, so each aggregate
+is one integer sum S over Q L (``_aggregate_parts``), and divided by the
+residual mass tau it is S tau.den over Q L tau.num; the axis aggregates,
+those of the probes e_k, are kept once per weight as int sums over Q,
+which the extremal direction and an ideal's axis multiplicities read.
 """
 
 from __future__ import annotations
@@ -250,7 +253,9 @@ class MonomialWeight(HomogeneousPsh):
         aggregate S_k / Q over the residual mass tau, S_k tau.den over
         Q tau.num. The simplicial weight it defines is the extremal
         upper-envelope singularity; a is positive, so it is built without
-        the checks of the public constructor."""
+        the checks of the public constructor, and its exponent set is
+        built on first read, so a caller that reads only ``direction``
+        builds none."""
         tau = self.residual_mass()
         common, sums = self._axis_sums
         common *= tau.numerator
@@ -294,7 +299,9 @@ class DirectionalWeight(MonomialWeight):
     Its polyhedron has the single compact facet through the points
     e_k / a_k, the measure is one atom at -a with mass 1/(a_1...a_n),
     and the weight is flat. The polyhedron takes the hull's closed form
-    (``lelong.newton``): no point lies below that facet's hyperplane.
+    (``lelong.newton``): no point lies below that facet's hyperplane, and
+    its cone volume is the product of the pure powers. The exponent set
+    is built from the direction on first read of ``generators``.
     """
 
     def __init__(self, direction):
@@ -302,16 +309,24 @@ class DirectionalWeight(MonomialWeight):
 
     def _build(self, d):
         # d is positive, so the set is primary and MonomialWeight's checks
-        # are skipped. For a_k = p_k/q_k the lcm of the denominators of the
-        # q_k/p_k is L = lcm(p_k), and the integer points are (L/p_k) q_k e_k.
+        # are skipped. The state of HomogeneousPsh.__init__ but the set,
+        # which ``generators`` builds from d when it is first read.
         self.direction = d
-        n = len(d)
+        self.dimension = len(d)
+        self._pairing = None, ()
+
+    @lazy
+    def generators(self):
+        """The checked set of the e_k / a_k: for a_k = p_k/q_k the lcm of
+        the denominators of the q_k/p_k is L = lcm(p_k), and the integer
+        points are (L/p_k) q_k e_k."""
+        d, n = self.direction, self.dimension
         scale = math.lcm(*(a.numerator for a in d))
         points = [
             tuple(scale // a.numerator * a.denominator if i == k else 0 for i in range(n))
             for k, a in enumerate(d)
         ]
-        HomogeneousPsh.__init__(self, _ExponentSet(scale, points))
+        return _ExponentSet(scale, points)
 
 
 def _check_pair(u: HomogeneousPsh, phi: MonomialWeight):

@@ -1,21 +1,23 @@
 """In-process A/B timing of this checkout's package against a base
-checkout's, on the seed-1 pool of a perfbench workload.
+checkout's, on a seeded pool of a perfbench workload.
 
 Run it by hand from the repository root; pytest does not collect it:
 
-    python tests/ab.py BASE [--workload random_mix] [--rounds 20]
+    python tests/ab.py BASE [--workload random_mix] [--rounds 20] [--seed 1]
 
 BASE is the root of another checkout of this repository, for example a
 ``git archive`` of the parent commit unpacked in a scratch directory.
 The script imports this checkout's ``src/lelong`` as ``lelong`` and
 BASE's as ``lelong_base``, and reads ``perfbench/workloads.py`` of this
 checkout without changing it (no bytecode is written). It builds the
-workload's seed-1 pool, runs every operation of the pool under both
-packages and asserts that ``Workload.output`` is equal, then times whole
-passes over the pool, the two packages alternating and the first side
-flipping each round. It prints the least time of each side, the best
-ratio (this checkout's least time over the base's) and the median and
-quartiles of the per-round ratios; below 1 this checkout is faster.
+workload's pool for ``--seed`` (1 by default; a gain found while tuning
+on one seed is best confirmed on another), runs every operation of the
+pool under both packages and asserts that ``Workload.output`` is equal,
+then times whole passes over the pool, the two packages alternating and
+the first side flipping each round. It prints the least time of each
+side, the best ratio (this checkout's least time over the base's) and
+the median and quartiles of the per-round ratios, and names the pool's
+seed; below 1 this checkout is faster.
 Operations run through ``Workload.run_in_process``, so the ``cli``
 workload calls ``lelong.cli.main`` in this process instead of spawning
 children. Only the standard library is used.
@@ -69,6 +71,7 @@ def main():
     parser.add_argument("base", type=Path, help="root of the base checkout")
     parser.add_argument("--workload", default="random_mix")
     parser.add_argument("--rounds", type=rounds, default=20)
+    parser.add_argument("--seed", type=int, default=1, help="seed of the workload's pool")
     args = parser.parse_args()
     base_src = args.base.resolve() / "src" / "lelong"
     if not (base_src / "__init__.py").is_file():
@@ -80,7 +83,7 @@ def main():
     if args.workload not in workloads.WORKLOADS:
         parser.error(f"unknown workload {args.workload!r}; one of {sorted(workloads.WORKLOADS)}")
     load("lelong_base", base_src)
-    workload = workloads.WORKLOADS[args.workload](1)
+    workload = workloads.WORKLOADS[args.workload](args.seed)
     try:
         head = dict(workload.mods)
         base = {m: importlib.import_module("lelong_base" + m[len("lelong"):]) for m in head}
@@ -103,7 +106,10 @@ def main():
     q1, median, q3 = statistics.quantiles(ratios, n=4)
     print(f"least pass: base {min(times['base']):.4f} s, head {min(times['head']):.4f} s")
     print(f"best ratio head/base: {min(times['head']) / min(times['base']):.3f}")
-    print(f"median pair ratio: {median:.3f} [{q1:.3f}, {q3:.3f}] over {args.rounds} rounds")
+    print(
+        f"median pair ratio: {median:.3f} [{q1:.3f}, {q3:.3f}] over {args.rounds} rounds"
+        f" on the seed-{args.seed} pool"
+    )
     return 0
 
 

@@ -23,6 +23,17 @@ def test_runs_against_the_checkout_itself():
     assert "over 2 rounds" in proc.stdout
 
 
+def test_seed_picks_the_pool():
+    # Another seed draws another pool of the same size, compared alike.
+    proc = run_python(
+        AB, ".", "--workload", "vertex_rich", "--rounds", "2", "--seed", "2",
+        cwd=ROOT, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "vertex_rich: 40 operations, outputs equal under both packages" in proc.stdout
+    assert "over 2 rounds on the seed-2 pool" in proc.stdout
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [

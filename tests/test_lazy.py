@@ -16,22 +16,26 @@ from lelong import ideals, newton, rationals, weights
 from lelong.rationals import exponent_set, lazy
 
 GENS = [(4, 0, 0), (0, 3, 0), (0, 0, 5), (1, 1, 1)]
+# No point below the hyperplane of the pure powers: the hull's closed form,
+# whose rays are lazy too (the double description sets them when built).
+CLOSED = [(4, 0, 0), (0, 3, 0), (0, 0, 5), (2, 2, 2)]
 
 # Per owner class, a fresh instance and the names of its lazy attributes.
 LAZY = {
     rationals._ExponentSet: (
         lambda: exponent_set(GENS),
-        ["_vectors", "pure_powers", "unreached", "intercepts"],
+        ["_vectors", "pure_powers", "pure_power_plane", "unreached", "intercepts"],
     ),
     newton.NewtonPolyhedron: (
-        lambda: newton.NewtonPolyhedron(GENS),
-        ["compact_facets", "vertices", "axis_intercepts", "_facet_cone_volumes"],
+        lambda: newton.NewtonPolyhedron(CLOSED),
+        ["_rays", "compact_facets", "vertices", "axis_intercepts", "_facet_cone_volumes"],
     ),
     weights.HomogeneousPsh: (lambda: weights.HomogeneousPsh(GENS), ["polyhedron"]),
     weights.MonomialWeight: (
         lambda: weights.MonomialWeight(GENS),
         ["_residual_mass", "_measure", "_mass_over_support", "_axis_sums"],
     ),
+    weights.DirectionalWeight: (lambda: weights.DirectionalWeight((1, "2/3", 5)), ["generators"]),
     ideals.MonomialIdeal: (lambda: ideals.MonomialIdeal(GENS), ["psh"]),
     ideals.PrimaryMonomialIdeal: (
         lambda: ideals.PrimaryMonomialIdeal(GENS),

@@ -698,6 +698,101 @@ class TestClosedForm:
             assert poly.covolume() == Fraction(math.prod(map(max, gens[:n])), math.factorial(n))
 
 
+def _one_facet_sets():
+    """Seeded (family, checked set) pairs at n = 2..6: weights at max_exp
+    6, 12 and 16, primary ideals, directional weights and pure powers with
+    points on their hyperplane. The ones with one compact facet are the
+    closed form at n >= 3 and the plane sets with one edge at n = 2."""
+    rng = random.Random(97)
+    for n in range(2, 7):
+        for _ in range(25):
+            yield "weight 6", random_weight(rng, n, max_exp=6).generators
+            yield "weight 12", random_weight(rng, n).generators
+            yield "weight 16", random_weight(rng, n, max_exp=16).generators
+            yield "ideal", random_primary_ideal(rng, n).weight.generators
+            yield "directional", DirectionalWeight(random_direction(rng, n)).generators
+            yield "on the hyperplane", exponent_set(_on_the_hyperplane(rng, n))
+
+
+def _triangulated_volumes(poly):
+    """Per compact facet, the sum of |int_det| over the simplices of
+    ``_pull`` on its mask, cut by the masks of ``poly._rays``."""
+    points, n = poly.generators.points, poly.dimension
+    cuts = [tight for _, tight in poly._rays]
+    return tuple(
+        sum(abs(int_det([points[j] for j in _bits(s)])) for s in _pull(face, n - 1, cuts))
+        for face in poly._facet_masks
+    )
+
+
+def _brute_force_volumes(poly):
+    """Per compact facet, L^n n! times the brute-force volume of the
+    cone from the origin over its vertices."""
+    n = poly.dimension
+    factor = poly.generators.scale**n * math.factorial(n)
+    return tuple(
+        factor * polytope_volume([(0,) * n, *poly.facet_points(facet)])
+        for facet in poly.compact_facets
+    )
+
+
+class TestOneFacetVolume:
+    def test_the_product_of_the_pure_powers_is_the_cone_volume(self, monkeypatch):
+        # One compact facet with every axis reached: the cone volume is the
+        # product of the least pure powers, read without the triangulation,
+        # and equals the triangulated and the brute-force volumes.
+        def refuse(*args):
+            raise AssertionError("the facet was triangulated")
+
+        seen = {}
+        for family, gens in _one_facet_sets():
+            poly = NewtonPolyhedron(gens)
+            if len(poly._facet_rows) > 1:
+                continue
+            n = poly.dimension
+            with monkeypatch.context() as m:
+                m.setattr(newton, "_pull", refuse)
+                m.setattr(newton, "int_det", refuse)
+                volumes = poly._facet_cone_volumes
+            (volume,) = volumes
+            assert volume == math.prod(gens.points[i][k] for k, i in enumerate(gens.pure_powers))
+            assert volumes == _triangulated_volumes(poly) == _brute_force_volumes(poly)
+            key = family, n
+            seen[key] = seen.get(key, 0) + 1
+            if family == "directional" and gens.scale > 1:
+                seen["directional, L > 1"] = seen.get("directional, L > 1", 0) + 1
+            if len(gens) > n:
+                seen["more points than vertices"] = seen.get("more points than vertices", 0) + 1
+        assert len(seen) == 6 * 5 + 2
+        assert min(seen.values()) >= 3, seen
+        assert seen["directional, L > 1"] >= 100 and seen["more points than vertices"] >= 100
+
+    def test_several_facets_are_triangulated(self, monkeypatch):
+        # The control: every facet of a polyhedron with more than one is
+        # triangulated, as the brute-force volumes confirm.
+        pulled = []
+        monkeypatch.setattr(newton, "_pull", lambda *args: pulled.append(args) or _pull(*args))
+        rng = random.Random(98)
+        sets = [ASTAR, vertex_rich(3, 3), [(4, 0, 0), (0, 3, 0), (0, 0, 5), (1, 1, 1)]]
+        sets += [random_vertex_rich(rng, n, m) for n, m in [(4, 4), (5, 3), (6, 3)]]
+        for gens in sets:
+            poly = NewtonPolyhedron(gens)
+            facets = len(poly._facet_rows)
+            assert facets > 1
+            pulled.clear()
+            volumes = poly._facet_cone_volumes
+            # One call per facet; its recursion calls on lower dimensions.
+            assert sum(dim == poly.dimension - 1 for _, dim, _ in pulled) == facets
+            assert volumes == _brute_force_volumes(poly)
+
+    def test_an_unreached_axis_is_triangulated(self):
+        # One compact facet, but the last axis has no pure power: the facet
+        # is not the simplex of pure powers, and the volume is triangulated.
+        poly = NewtonPolyhedron([(0, 5, 0), (3, 1, 3), (4, 0, 0)])
+        assert poly.generators.unreached == (2,) and len(poly._facet_rows) == 1
+        assert poly._facet_cone_volumes == _triangulated_volumes(poly) == (60,)
+
+
 @st.composite
 def integer_weights(draw, max_exp=7):
     """Generators of a MonomialWeight in dimension 2..6: a pure power on

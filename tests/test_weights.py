@@ -15,6 +15,8 @@ from lelong.ideals import (
     MonomialIdeal,
     PrimaryMonomialIdeal,
     axis_multiplicities,
+    closure_containment_check,
+    mixed_multiplicity,
     samuel_multiplicity,
 )
 from lelong.newton import NewtonPolyhedron
@@ -32,6 +34,7 @@ from reference import fraction_evaluate, join, polytope_volume
 from support import (
     ASTAR,
     random_direction,
+    random_ideal,
     random_primary_ideal,
     random_psh,
     random_rational,
@@ -484,6 +487,29 @@ class TestDirectionalWeightSet:
         assert [type(c) for g in got for c in g] == [type(c) for g in want for c in g]
         assert got.intercepts == want.intercepts
 
+    def test_the_set_is_built_on_first_read(self):
+        # Both the public constructor and the extremal direction's weight
+        # build no set until it is read, and then the set exponent_set
+        # makes of the vectors e_k / a_k, with the same scale, points,
+        # equality, hash and repr.
+        rng = random.Random(16)
+        fractional = 0
+        for _ in range(60):
+            n = rng.randint(2, 6)
+            phi = random_weight(rng, n, max_exp=16)
+            for weight in (DirectionalWeight(random_direction(rng, n)), phi.extremal_direction()):
+                assert "generators" not in vars(weight)
+                a = weight.direction
+                fractional += any(c.denominator > 1 for c in a)
+                want = exponent_set(
+                    tuple(1 / a[k] if i == k else 0 for i in range(n)) for k in range(n)
+                )
+                got = weight.generators
+                assert vars(weight)["generators"] is got
+                assert (got.scale, got.points) == (want.scale, want.points)
+                assert got == want and hash(got) == hash(want) and repr(got) == repr(want)
+        assert fractional >= 60
+
     @pytest.mark.parametrize(
         "direction",
         [
@@ -505,6 +531,43 @@ class TestDirectionalWeightSet:
             positive_direction(direction)
         with pytest.raises(InvalidInputError, match=re.escape(str(expected.value))):
             DirectionalWeight(direction)
+
+
+class TestClosedFormReads:
+    def test_queries_build_neither_rays_nor_the_extremal_set(self):
+        # The queries of a benchmark operation on weights whose hull takes
+        # the closed form read neither the polyhedron's rays nor the
+        # extremal direction's exponent set, so neither is built.
+        rng = random.Random(17)
+        closed, ideals = 0, 0
+        for _ in range(40):
+            n = rng.randint(3, 6)
+            phi = random_weight(rng, n)
+            if len(phi.polyhedron._facet_rows) > 1:
+                continue
+            closed += 1
+            phi.residual_mass()
+            phi.lelong_measure()
+            extremal = phi.extremal_direction()
+            extremal.direction
+            phi.is_flat()
+            phi.flatness_witness()
+            phi.lojasiewicz_exponent()
+            for _ in range(2):
+                u = random_psh(rng, n)
+                generalized_lelong(u, phi)
+                generalized_lelong(u, phi, normalized=True)
+                relative_type(u, phi)
+            i, j = random_primary_ideal(rng, n), random_ideal(rng, n)
+            samuel_multiplicity(i)
+            mixed_multiplicity(j, i)
+            closure_containment_check(j, i, rng.randint(1, 40))
+            assert "_rays" not in vars(phi.polyhedron)
+            if len(i.weight.polyhedron._facet_rows) == 1:
+                ideals += 1
+                assert "_rays" not in vars(i.weight.polyhedron)
+            assert "generators" not in vars(extremal)
+        assert closed >= 20 and ideals >= 10, (closed, ideals)
 
 
 class TestFlatness:
